@@ -1,0 +1,16 @@
+//! Records the compiler version, so that every result file names the
+//! toolchain that built the benchmark and the engine under it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=BENCH_RUSTC_VERSION={}", version.trim());
+    println!("cargo:rerun-if-changed=build.rs");
+}

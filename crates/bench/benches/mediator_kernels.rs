@@ -1,17 +1,14 @@
 //! Criterion micro-benchmarks for the vectorized mediator kernels:
 //! hash join, GROUP BY, and DISTINCT on synthetic key/value batches,
 //! comparing the retained `Vec<Value>` reference path against the
-//! vectorized serial and partitioned-parallel pipelines. Int64 keys
-//! take the fixed-width u128 path; long Utf8 keys force the
-//! hashed+verified path.
+//! vectorized pipeline. Int64 keys take the fixed-width u128 path;
+//! long Utf8 keys force the hashed+verified path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gis_adapters::AggFunc;
 use gis_bench::synth::kv_batch;
-use gis_core::exec::aggregate::{
-    distinct_kernel, distinct_ref, hash_aggregate_kernel, hash_aggregate_ref,
-};
-use gis_core::exec::join::{hash_join_kernel, hash_join_ref};
+use gis_core::exec::aggregate::{distinct, distinct_ref, hash_aggregate, hash_aggregate_ref};
+use gis_core::exec::join::{hash_join, hash_join_ref};
 use gis_core::exec::keys::{KernelGov, KernelOptions};
 use gis_core::expr::ScalarExpr;
 use gis_core::plan::logical::{AggregateExpr, JoinNode};
@@ -20,13 +17,6 @@ use gis_types::{DataType, Field, Schema};
 
 const ROWS: usize = 100_000;
 const CARDINALITY: u64 = 1_000;
-
-fn parallel_opts() -> KernelOptions {
-    KernelOptions {
-        parallel_rows: 0,
-        ..KernelOptions::from_exec(&gis_core::ExecOptions::default())
-    }
-}
 
 fn bench_group_by(c: &mut Criterion) {
     let aggs = vec![
@@ -60,27 +50,12 @@ fn bench_group_by(c: &mut Criterion) {
         });
         g.bench_function(BenchmarkId::new("serial", key), |b| {
             b.iter(|| {
-                hash_aggregate_kernel(
+                hash_aggregate(
                     &input,
                     &groups,
                     &aggs,
                     schema.clone(),
-                    &KernelOptions::serial(),
-                    &KernelGov::unbounded(),
-                )
-                .expect("kernel agg")
-                .0
-                .num_rows()
-            })
-        });
-        g.bench_function(BenchmarkId::new("partition", key), |b| {
-            b.iter(|| {
-                hash_aggregate_kernel(
-                    &input,
-                    &groups,
-                    &aggs,
-                    schema.clone(),
-                    &parallel_opts(),
+                    &KernelOptions::default(),
                     &KernelGov::unbounded(),
                 )
                 .expect("kernel agg")
@@ -118,7 +93,7 @@ fn bench_join(c: &mut Criterion) {
         });
         g.bench_function(BenchmarkId::new("serial", key), |b| {
             b.iter(|| {
-                hash_join_kernel(
+                hash_join(
                     &left,
                     &right,
                     &[0],
@@ -126,25 +101,7 @@ fn bench_join(c: &mut Criterion) {
                     JoinKind::Inner,
                     None,
                     schema.clone(),
-                    &KernelOptions::serial(),
-                    &KernelGov::unbounded(),
-                )
-                .expect("kernel join")
-                .0
-                .num_rows()
-            })
-        });
-        g.bench_function(BenchmarkId::new("partition", key), |b| {
-            b.iter(|| {
-                hash_join_kernel(
-                    &left,
-                    &right,
-                    &[0],
-                    &[0],
-                    JoinKind::Inner,
-                    None,
-                    schema.clone(),
-                    &parallel_opts(),
+                    &KernelOptions::default(),
                     &KernelGov::unbounded(),
                 )
                 .expect("kernel join")
@@ -166,15 +123,7 @@ fn bench_distinct(c: &mut Criterion) {
         });
         g.bench_function(BenchmarkId::new("serial", key), |b| {
             b.iter(|| {
-                distinct_kernel(&input, &KernelOptions::serial(), &KernelGov::unbounded())
-                    .expect("kernel distinct")
-                    .0
-                    .num_rows()
-            })
-        });
-        g.bench_function(BenchmarkId::new("partition", key), |b| {
-            b.iter(|| {
-                distinct_kernel(&input, &parallel_opts(), &KernelGov::unbounded())
+                distinct(&input, &KernelOptions::default(), &KernelGov::unbounded())
                     .expect("kernel distinct")
                     .0
                     .num_rows()

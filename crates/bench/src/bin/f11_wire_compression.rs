@@ -17,7 +17,7 @@
 //! floor: >=3x total byte reduction on the workload. `--smoke` runs
 //! the tiny federation and skips the floor assert.
 
-use gis_bench::{fmt_bytes, fmt_ratio, Report};
+use gis_bench::{fmt_bytes, fmt_ratio, json_members, json_str, Report};
 use gis_core::Federation;
 use gis_datagen::{build_fedmart, FedMartConfig};
 use gis_net::ColumnCodec;
@@ -118,15 +118,13 @@ fn main() {
                 c.metrics.virtual_network_us as f64,
             ),
         ]);
-        rows_json.push(format!(
-            "    {{\"query\": \"{}\", \"raw_bytes\": {}, \"wire_bytes\": {}, \
-             \"raw_net_us\": {}, \"comp_net_us\": {}}}",
-            name,
-            r.metrics.bytes_shipped,
-            c.metrics.bytes_shipped,
-            r.metrics.virtual_network_us,
-            c.metrics.virtual_network_us
-        ));
+        rows_json.push(vec![
+            ("query", json_str(name)),
+            ("raw_bytes", r.metrics.bytes_shipped.to_string()),
+            ("wire_bytes", c.metrics.bytes_shipped.to_string()),
+            ("raw_net_us", r.metrics.virtual_network_us.to_string()),
+            ("comp_net_us", c.metrics.virtual_network_us.to_string()),
+        ]);
     }
     let ratio = total_raw as f64 / total_wire as f64;
     report.note(format!(
@@ -165,26 +163,23 @@ fn main() {
         "no adaptive codec fired on the workload"
     );
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"f11_wire_compression\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"raw_bytes\": {total_raw},\n"));
-    out.push_str(&format!("  \"wire_bytes\": {total_wire},\n"));
-    out.push_str(&format!("  \"reduction\": {ratio:.2},\n"));
-    out.push_str("  \"codec_columns\": {");
-    let codecs: Vec<String> = ColumnCodec::all()
+    let codecs: Vec<_> = ColumnCodec::all()
         .into_iter()
-        .map(|c| format!("\"{}\": {}", c.name(), ws.columns(c)))
+        .map(|c| (c.name(), ws.columns(c).to_string()))
         .collect();
-    out.push_str(&codecs.join(", "));
-    out.push_str("},\n");
-    out.push_str("  \"queries\": [\n");
-    out.push_str(&rows_json.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_wire.json", out).expect("write BENCH_wire.json");
+    Report::write_json(
+        "BENCH_wire.json",
+        "f11_wire_compression",
+        smoke,
+        &[
+            ("raw_bytes", total_raw.to_string()),
+            ("wire_bytes", total_wire.to_string()),
+            ("reduction", format!("{ratio:.2}")),
+            ("codec_columns", format!("{{{}}}", json_members(&codecs))),
+        ],
+        "queries",
+        &rows_json,
+    );
     println!("wrote BENCH_wire.json ({} queries)", WORKLOAD.len());
 
     if !smoke {

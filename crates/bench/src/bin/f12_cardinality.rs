@@ -15,7 +15,7 @@
 //! one query's plan gets measurably cheaper (strictly fewer wire
 //! bytes). `--smoke` runs the tiny federation and skips the floors.
 
-use gis_bench::{fmt_bytes, fmt_ratio, Report};
+use gis_bench::{fmt_bytes, fmt_ratio, json_str, Report};
 use gis_core::Federation;
 use gis_datagen::{build_fedmart, FedMartConfig};
 use gis_types::Value;
@@ -164,19 +164,16 @@ fn main() {
             &fmt_bytes(b.metrics.bytes_shipped),
             &fmt_bytes(a.metrics.bytes_shipped),
         ]);
-        rows_json.push(format!(
-            "    {{\"query\": \"{}\", \"actual\": {}, \"magic_est\": {:.1}, \
-             \"magic_q\": {:.3}, \"stats_est\": {:.1}, \"stats_q\": {:.3}, \
-             \"magic_bytes\": {}, \"stats_bytes\": {}}}",
-            name,
-            bq.actual_rows,
-            bq.est_rows,
-            bq.q_error,
-            aq.est_rows,
-            aq.q_error,
-            b.metrics.bytes_shipped,
-            a.metrics.bytes_shipped
-        ));
+        rows_json.push(vec![
+            ("query", json_str(name)),
+            ("actual", bq.actual_rows.to_string()),
+            ("magic_est", format!("{:.1}", bq.est_rows)),
+            ("magic_q", format!("{:.3}", bq.q_error)),
+            ("stats_est", format!("{:.1}", aq.est_rows)),
+            ("stats_q", format!("{:.3}", aq.q_error)),
+            ("magic_bytes", b.metrics.bytes_shipped.to_string()),
+            ("stats_bytes", a.metrics.bytes_shipped.to_string()),
+        ]);
     }
     let magic_median = median(magic_qs.clone());
     let stats_median = median(stats_qs.clone());
@@ -201,21 +198,20 @@ fn main() {
         .note("Rows are asserted bit-identical per query: statistics change plans, never answers.");
     report.print();
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"f12_cardinality\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"magic_median_q\": {magic_median:.3},\n"));
-    out.push_str(&format!("  \"stats_median_q\": {stats_median:.3},\n"));
-    out.push_str(&format!("  \"improvement\": {improvement:.2},\n"));
-    out.push_str(&format!("  \"cheaper_plans\": {cheaper_plans},\n"));
-    out.push_str(&format!("  \"analyze_wire_bytes\": {analyze_bytes},\n"));
-    out.push_str("  \"queries\": [\n");
-    out.push_str(&rows_json.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_stats.json", out).expect("write BENCH_stats.json");
+    Report::write_json(
+        "BENCH_stats.json",
+        "f12_cardinality",
+        smoke,
+        &[
+            ("magic_median_q", format!("{magic_median:.3}")),
+            ("stats_median_q", format!("{stats_median:.3}")),
+            ("improvement", format!("{improvement:.2}")),
+            ("cheaper_plans", cheaper_plans.to_string()),
+            ("analyze_wire_bytes", analyze_bytes.to_string()),
+        ],
+        "queries",
+        &rows_json,
+    );
     println!("wrote BENCH_stats.json ({} queries)", WORKLOAD.len());
 
     assert!(

@@ -2,13 +2,11 @@
 //!
 //! Direct kernel-level measurement of the three mediator integration
 //! kernels — hash join, GROUP BY, DISTINCT — at 10^4..10^6 rows,
-//! on three paths each:
+//! on two paths each:
 //!
 //! * `reference` — the retained `Vec<Value>`-per-row implementations
 //!   (the pre-vectorization kernels, also the differential oracle),
-//! * `serial`    — the vectorized key pipeline, one thread,
-//! * `partition` — the same pipeline, radix-partitioned across
-//!   scoped threads.
+//! * `serial`    — the vectorized key pipeline.
 //!
 //! Rows/sec counts *input* rows (build+probe for joins). The run
 //! emits `BENCH_kernels.json` so later PRs can track the perf
@@ -18,11 +16,9 @@
 
 use gis_adapters::AggFunc;
 use gis_bench::synth::kv_batch;
-use gis_bench::{fmt_ratio, Report};
-use gis_core::exec::aggregate::{
-    distinct_kernel, distinct_ref, hash_aggregate_kernel, hash_aggregate_ref,
-};
-use gis_core::exec::join::{hash_join_kernel, hash_join_ref};
+use gis_bench::{fmt_ratio, json_str, Report};
+use gis_core::exec::aggregate::{distinct, distinct_ref, hash_aggregate, hash_aggregate_ref};
+use gis_core::exec::join::{hash_join, hash_join_ref};
 use gis_core::exec::keys::{KernelGov, KernelOptions};
 use gis_core::expr::ScalarExpr;
 use gis_core::plan::logical::{AggregateExpr, JoinNode};
@@ -37,13 +33,6 @@ fn cardinality(n: usize) -> u64 {
     (n as u64 / 10).max(16)
 }
 
-fn parallel_opts() -> KernelOptions {
-    KernelOptions {
-        parallel_rows: 0,
-        ..KernelOptions::from_exec(&gis_core::ExecOptions::default())
-    }
-}
-
 struct Sample {
     kernel: &'static str,
     rows: usize,
@@ -51,9 +40,9 @@ struct Sample {
     rows_per_sec: f64,
 }
 
-/// The three measured paths of one kernel: label + boxed runner
+/// The two measured paths of one kernel: label + boxed runner
 /// returning the output row count (the observable sink).
-type Runs<'a> = [(&'static str, Box<dyn FnMut() -> usize + 'a>); 3];
+type Runs<'a> = [(&'static str, Box<dyn FnMut() -> usize + 'a>); 2];
 
 fn time_rows_per_sec(input_rows: usize, mut f: impl FnMut() -> usize) -> f64 {
     // One warmup, then best of two timed runs (the kernels are
@@ -107,28 +96,12 @@ fn bench_group_by(n: usize, samples: &mut Vec<Sample>) {
         (
             "serial",
             Box::new(|| {
-                hash_aggregate_kernel(
+                hash_aggregate(
                     &input,
                     &groups,
                     &aggs,
                     schema.clone(),
-                    &KernelOptions::serial(),
-                    &KernelGov::unbounded(),
-                )
-                .expect("kernel agg")
-                .0
-                .num_rows()
-            }),
-        ),
-        (
-            "partition",
-            Box::new(|| {
-                hash_aggregate_kernel(
-                    &input,
-                    &groups,
-                    &aggs,
-                    schema.clone(),
-                    &parallel_opts(),
+                    &KernelOptions::default(),
                     &KernelGov::unbounded(),
                 )
                 .expect("kernel agg")
@@ -177,7 +150,7 @@ fn bench_join(n: usize, samples: &mut Vec<Sample>) {
         (
             "serial",
             Box::new(|| {
-                hash_join_kernel(
+                hash_join(
                     &left,
                     &right,
                     &[0],
@@ -185,26 +158,7 @@ fn bench_join(n: usize, samples: &mut Vec<Sample>) {
                     JoinKind::Inner,
                     None,
                     schema.clone(),
-                    &KernelOptions::serial(),
-                    &KernelGov::unbounded(),
-                )
-                .expect("kernel join")
-                .0
-                .num_rows()
-            }),
-        ),
-        (
-            "partition",
-            Box::new(|| {
-                hash_join_kernel(
-                    &left,
-                    &right,
-                    &[0],
-                    &[0],
-                    JoinKind::Inner,
-                    None,
-                    schema.clone(),
-                    &parallel_opts(),
+                    &KernelOptions::default(),
                     &KernelGov::unbounded(),
                 )
                 .expect("kernel join")
@@ -230,16 +184,7 @@ fn bench_distinct(n: usize, samples: &mut Vec<Sample>) {
         (
             "serial",
             Box::new(|| {
-                distinct_kernel(&input, &KernelOptions::serial(), &KernelGov::unbounded())
-                    .expect("kernel distinct")
-                    .0
-                    .num_rows()
-            }),
-        ),
-        (
-            "partition",
-            Box::new(|| {
-                distinct_kernel(&input, &parallel_opts(), &KernelGov::unbounded())
+                distinct(&input, &KernelOptions::default(), &KernelGov::unbounded())
                     .expect("kernel distinct")
                     .0
                     .num_rows()
@@ -273,26 +218,25 @@ fn fmt_rate(r: f64) -> String {
 }
 
 fn write_json(samples: &[Sample], smoke: bool) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"f8_mediator_throughput\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str("  \"cardinality\": \"n/10\",\n");
-    out.push_str("  \"results\": [\n");
-    let body: Vec<String> = samples
+    let items: Vec<_> = samples
         .iter()
         .map(|s| {
-            format!(
-                "    {{\"kernel\": \"{}\", \"rows\": {}, \"path\": \"{}\", \"rows_per_sec\": {:.0}}}",
-                s.kernel, s.rows, s.path, s.rows_per_sec
-            )
+            vec![
+                ("kernel", json_str(s.kernel)),
+                ("rows", s.rows.to_string()),
+                ("path", json_str(s.path)),
+                ("rows_per_sec", format!("{:.0}", s.rows_per_sec)),
+            ]
         })
         .collect();
-    out.push_str(&body.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_kernels.json", out).expect("write BENCH_kernels.json");
+    Report::write_json(
+        "BENCH_kernels.json",
+        "f8_mediator_throughput",
+        smoke,
+        &[("cardinality", json_str("n/10"))],
+        "results",
+        &items,
+    );
 }
 
 fn main() {
@@ -311,35 +255,24 @@ fn main() {
 
     let mut report = Report::new(
         "F8: mediator kernel throughput (rows/sec; speedup vs the retained Vec<Value> reference)",
-        &[
-            "kernel",
-            "rows",
-            "reference",
-            "serial",
-            "partition",
-            "serial_x",
-            "partition_x",
-        ],
+        &["kernel", "rows", "reference", "serial", "serial_x"],
     );
     for kernel in ["group-by", "hash-join", "distinct"] {
         for &n in sizes {
             let rref = rate(&samples, kernel, n, "reference");
             let rser = rate(&samples, kernel, n, "serial");
-            let rpar = rate(&samples, kernel, n, "partition");
             report.row(&[
                 &kernel,
                 &n,
                 &fmt_rate(rref),
                 &fmt_rate(rser),
-                &fmt_rate(rpar),
                 &fmt_ratio(rser, rref),
-                &fmt_ratio(rpar, rref),
             ]);
         }
     }
     report.note(
         "Acceptance: >=3x rows/sec over the reference on the 10^6-row group-by and hash-join \
-         (best of serial/partition; asserted in full mode).",
+         (asserted in full mode).",
     );
     report.note("Join rows = build + probe combined; joins run Inner on Int64 keys.");
     report.print();
@@ -349,15 +282,10 @@ fn main() {
     if !smoke {
         for kernel in ["group-by", "hash-join"] {
             let rref = rate(&samples, kernel, 1_000_000, "reference");
-            let best = rate(&samples, kernel, 1_000_000, "serial").max(rate(
-                &samples,
-                kernel,
-                1_000_000,
-                "partition",
-            ));
+            let rser = rate(&samples, kernel, 1_000_000, "serial");
             assert!(
-                best >= 3.0 * rref,
-                "{kernel} 10^6: vectorized {best:.0} rows/s < 3x reference {rref:.0} rows/s"
+                rser >= 3.0 * rref,
+                "{kernel} 10^6: vectorized {rser:.0} rows/s < 3x reference {rref:.0} rows/s"
             );
         }
         println!("acceptance: 10^6-row group-by and hash-join >= 3x reference ✓");

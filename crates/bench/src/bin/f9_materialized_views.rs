@@ -16,7 +16,7 @@
 //! Emits `BENCH_views.json`. Full mode asserts the PR's acceptance
 //! floor: >=5x total-byte reduction. `--smoke` runs 3 repetitions.
 
-use gis_bench::{fmt_bytes, fmt_ratio, Report};
+use gis_bench::{fmt_bytes, fmt_ratio, json_str, Report};
 use gis_core::Federation;
 use gis_datagen::{build_fedmart, FedMartConfig};
 
@@ -120,33 +120,33 @@ fn main() {
     );
     report.print();
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"f9_materialized_views\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"repetitions\": {reps},\n"));
-    out.push_str(&format!("  \"baseline_bytes\": {baseline_total},\n"));
-    out.push_str(&format!("  \"views_bytes\": {views_total},\n"));
-    out.push_str(&format!(
-        "  \"reduction\": {:.2},\n",
-        baseline_total as f64 / views_total as f64
-    ));
-    out.push_str("  \"views\": [\n");
-    let body: Vec<String> = WORKLOAD
+    let items: Vec<_> = WORKLOAD
         .iter()
         .enumerate()
         .map(|(i, (name, _))| {
-            format!(
-                "    {{\"view\": \"{}\", \"create_bytes\": {}, \"refresh_bytes\": {}}}",
-                name, create_bytes[i], refresh_bytes[i]
-            )
+            vec![
+                ("view", json_str(name)),
+                ("create_bytes", create_bytes[i].to_string()),
+                ("refresh_bytes", refresh_bytes[i].to_string()),
+            ]
         })
         .collect();
-    out.push_str(&body.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_views.json", out).expect("write BENCH_views.json");
+    Report::write_json(
+        "BENCH_views.json",
+        "f9_materialized_views",
+        smoke,
+        &[
+            ("repetitions", reps.to_string()),
+            ("baseline_bytes", baseline_total.to_string()),
+            ("views_bytes", views_total.to_string()),
+            (
+                "reduction",
+                format!("{:.2}", baseline_total as f64 / views_total as f64),
+            ),
+        ],
+        "views",
+        &items,
+    );
     println!("wrote BENCH_views.json ({} views)", WORKLOAD.len());
 
     if !smoke {

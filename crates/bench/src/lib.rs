@@ -100,6 +100,57 @@ impl Report {
     pub fn print(&self) {
         println!("{}", self.render());
     }
+
+    /// Writes an experiment's `BENCH_*.json` trajectory file: the
+    /// experiment name and run mode, then `fields`, then one array
+    /// `list_key` of flat objects. Values arrive already rendered as
+    /// JSON (numbers formatted by the caller, strings via
+    /// [`json_str`]).
+    pub fn write_json(
+        path: &str,
+        experiment: &str,
+        smoke: bool,
+        fields: &[JsonField<'_>],
+        list_key: &str,
+        items: &[Vec<JsonField<'_>>],
+    ) {
+        let mode = if smoke { "smoke" } else { "full" };
+        let mut out = String::from("{\n");
+        let head = [
+            ("experiment", json_str(experiment)),
+            ("mode", json_str(mode)),
+        ];
+        for (key, value) in head.iter().chain(fields) {
+            out.push_str(&format!("  \"{key}\": {value},\n"));
+        }
+        let body: Vec<String> = items
+            .iter()
+            .map(|item| format!("    {{{}}}", json_members(item)))
+            .collect();
+        out.push_str(&format!(
+            "  \"{list_key}\": [\n{}\n  ]\n}}\n",
+            body.join(",\n")
+        ));
+        std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    }
+}
+
+/// One JSON object member: its key and its already-rendered value.
+pub type JsonField<'a> = (&'a str, String);
+
+/// `"key": value` members joined with `, ` (no surrounding braces).
+pub fn json_members(fields: &[JsonField<'_>]) -> String {
+    let members: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("\"{key}\": {value}"))
+        .collect();
+    members.join(", ")
+}
+
+/// Renders `s` as a JSON string (the harness only emits identifiers
+/// and fixed labels, so there is nothing to escape).
+pub fn json_str(s: &str) -> String {
+    format!("\"{s}\"")
 }
 
 /// Formats a byte count with a thousands separator.
@@ -142,6 +193,30 @@ mod tests {
         let hline = lines.iter().find(|l| l.contains("long_header")).unwrap();
         let rline = lines.iter().find(|l| l.contains("22222")).unwrap();
         assert_eq!(hline.len(), rline.len());
+    }
+
+    #[test]
+    fn write_json_layout() {
+        let path = std::env::temp_dir().join(format!("gis_bench_{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        Report::write_json(
+            path,
+            "demo",
+            true,
+            &[("total", "7".to_string())],
+            "rows",
+            &[
+                vec![("name", json_str("a")), ("n", "1".to_string())],
+                vec![("name", json_str("b")), ("n", "2".to_string())],
+            ],
+        );
+        let written = std::fs::read_to_string(path).expect("read back");
+        std::fs::remove_file(path).expect("remove temp file");
+        assert_eq!(
+            written,
+            "{\n  \"experiment\": \"demo\",\n  \"mode\": \"smoke\",\n  \"total\": 7,\n  \
+             \"rows\": [\n    {\"name\": \"a\", \"n\": 1},\n    {\"name\": \"b\", \"n\": 2}\n  ]\n}\n"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! what the sources never see: `DISTINCT` aggregates and arbitrary
 //! expressions as arguments and group keys.
 
-use crate::exec::keys::{group_rows_gov, KernelGov, KernelOptions, KernelStats};
+use crate::exec::keys::{group_rows, KernelGov, KernelOptions, KernelStats};
 use crate::expr::eval::evaluate;
 use crate::expr::ScalarExpr;
 use crate::plan::logical::AggregateExpr;
@@ -120,29 +120,10 @@ fn evaluate_inputs(
     Ok((group_arrays, arg_arrays, int_inputs))
 }
 
-/// Executes a grouped aggregation over one input batch (serial
-/// vectorized kernel).
+/// Executes a grouped aggregation over one input batch: group ids
+/// come from the vectorized key pipeline (no `Vec<Value>` key per
+/// row), then accumulators run column-at-a-time over dense group ids.
 pub fn hash_aggregate(
-    input: &Batch,
-    group_exprs: &[ScalarExpr],
-    aggregates: &[AggregateExpr],
-    out_schema: SchemaRef,
-) -> Result<Batch> {
-    hash_aggregate_kernel(
-        input,
-        group_exprs,
-        aggregates,
-        out_schema,
-        &KernelOptions::serial(),
-        &KernelGov::unbounded(),
-    )
-    .map(|(batch, _)| batch)
-}
-
-/// [`hash_aggregate`] with explicit kernel knobs: group ids come from
-/// the vectorized key pipeline (no `Vec<Value>` key per row), then
-/// accumulators run column-at-a-time over dense group ids.
-pub fn hash_aggregate_kernel(
     input: &Batch,
     group_exprs: &[ScalarExpr],
     aggregates: &[AggregateExpr],
@@ -153,7 +134,7 @@ pub fn hash_aggregate_kernel(
     let (group_arrays, arg_arrays, int_inputs) = evaluate_inputs(input, group_exprs, aggregates)?;
     let n = input.num_rows();
     let group_refs: Vec<&Array> = group_arrays.iter().collect();
-    let (grouping, stats) = group_rows_gov(&group_refs, n, opts, gov)?;
+    let (grouping, stats) = group_rows(&group_refs, n, opts, gov)?;
     let mut num_groups = grouping.num_groups();
     // A global aggregate over zero rows still yields one output row.
     let empty_global = group_exprs.is_empty() && num_groups == 0;
@@ -459,24 +440,16 @@ pub fn hash_aggregate_ref(
     Batch::from_rows(out_schema, &rows)
 }
 
-/// Duplicate elimination over all columns (DISTINCT, serial
-/// vectorized kernel). Keeps each row group's first occurrence, in
-/// input order.
-pub fn distinct(input: &Batch) -> Batch {
-    distinct_kernel(input, &KernelOptions::serial(), &KernelGov::unbounded())
-        .expect("unbounded kernel cannot fail")
-        .0
-}
-
-/// [`distinct`] with explicit kernel knobs: the key pipeline's group
-/// representatives *are* the distinct rows.
-pub fn distinct_kernel(
+/// Duplicate elimination over all columns (DISTINCT): the key
+/// pipeline's group representatives *are* the distinct rows, so each
+/// row group's first occurrence is kept, in input order.
+pub fn distinct(
     input: &Batch,
     opts: &KernelOptions,
     gov: &KernelGov<'_>,
 ) -> Result<(Batch, KernelStats)> {
     let cols: Vec<&Array> = input.columns().iter().collect();
-    let (grouping, stats) = group_rows_gov(&cols, input.num_rows(), opts, gov)?;
+    let (grouping, stats) = group_rows(&cols, input.num_rows(), opts, gov)?;
     let keep: Vec<usize> = grouping
         .representatives
         .iter()
@@ -535,6 +508,26 @@ mod tests {
         Schema::new(fields).into_ref()
     }
 
+    /// Ungoverned aggregation.
+    fn aggregate(
+        input: &Batch,
+        groups: &[ScalarExpr],
+        aggs: &[AggregateExpr],
+        schema: SchemaRef,
+    ) -> Batch {
+        let (opts, gov) = (KernelOptions::default(), KernelGov::unbounded());
+        hash_aggregate(input, groups, aggs, schema, &opts, &gov)
+            .unwrap()
+            .0
+    }
+
+    /// Ungoverned DISTINCT.
+    fn dedup(input: &Batch) -> Batch {
+        distinct(input, &KernelOptions::default(), &KernelGov::unbounded())
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn distinct_aggregates() {
         let aggs = vec![
@@ -555,7 +548,7 @@ mod tests {
             },
         ];
         let schema = out_schema(&aggs, 1);
-        let out = hash_aggregate(&batch(), &[ScalarExpr::col(0)], &aggs, schema).unwrap();
+        let out = aggregate(&batch(), &[ScalarExpr::col(0)], &aggs, schema);
         let rows = out.to_rows();
         let a = rows
             .iter()
@@ -581,7 +574,7 @@ mod tests {
         }];
         let schema = out_schema(&aggs, 0);
         let empty = batch().slice(0, 0);
-        let out = hash_aggregate(&empty, &[], &aggs, schema).unwrap();
+        let out = aggregate(&empty, &[], &aggs, schema);
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row_values(0)[0], Value::Int64(0));
     }
@@ -589,7 +582,7 @@ mod tests {
     #[test]
     fn distinct_rows() {
         let b = batch();
-        let d = distinct(&b);
+        let d = dedup(&b);
         assert_eq!(d.num_rows(), 3); // (a,1) appears twice
     }
 
@@ -623,13 +616,12 @@ mod tests {
             Field::new("g", DataType::Float64),
             Field::new("count(*)", DataType::Int64),
         ];
-        let out = hash_aggregate(
+        let out = aggregate(
             &b,
             &[ScalarExpr::col(0)],
             &aggs,
             Schema::new(fields).into_ref(),
-        )
-        .unwrap();
+        );
         // Groups: {NaN x3}, {0.0}, {-0.0}
         assert_eq!(out.num_rows(), 3);
         let nan_count = out
@@ -642,7 +634,7 @@ mod tests {
             .expect("NaN group present");
         assert_eq!(nan_count, 3);
         // DISTINCT agrees: one NaN row survives.
-        let d = distinct(&b.project(&[0]).unwrap());
+        let d = dedup(&b.project(&[0]).unwrap());
         assert_eq!(d.num_rows(), 3);
     }
 
@@ -662,10 +654,10 @@ mod tests {
             },
         ];
         let schema = out_schema(&aggs, 1);
-        let fast = hash_aggregate(&b, &[ScalarExpr::col(0)], &aggs, schema.clone()).unwrap();
+        let fast = aggregate(&b, &[ScalarExpr::col(0)], &aggs, schema.clone());
         let slow = hash_aggregate_ref(&b, &[ScalarExpr::col(0)], &aggs, schema).unwrap();
         assert_eq!(fast.to_rows(), slow.to_rows());
-        assert_eq!(distinct(&b).to_rows(), distinct_ref(&b).to_rows());
+        assert_eq!(dedup(&b).to_rows(), distinct_ref(&b).to_rows());
     }
 
     #[test]
@@ -689,13 +681,12 @@ mod tests {
         }];
         let mut fields = vec![Field::new("g", DataType::Utf8)];
         fields.push(Field::new("count(*)", DataType::Int64));
-        let out = hash_aggregate(
+        let out = aggregate(
             &b,
             &[ScalarExpr::col(0)],
             &aggs,
             Schema::new(fields).into_ref(),
-        )
-        .unwrap();
+        );
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row_values(0)[1], Value::Int64(2));
     }

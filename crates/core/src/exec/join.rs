@@ -5,42 +5,13 @@
 //! rest. Both operate on materialized batches — the federation's
 //! costs are on the wire, not here.
 
-use crate::exec::keys::{equi_join_pairs_gov, KernelGov, KernelOptions, KernelStats};
+use crate::exec::keys::{equi_join_pairs, KernelGov, KernelOptions, KernelStats};
 use crate::expr::eval::evaluate_predicate;
 use crate::expr::ScalarExpr;
 use gis_sql::ast::JoinKind;
 use gis_types::{Array, Batch, DataType, GisError, Result, Row, SchemaRef, Value};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-
-/// Hash join on equi-keys (serial vectorized kernel).
-///
-/// `residual` (if any) is evaluated over the combined
-/// `left ++ right` layout and participates in *match* semantics
-/// (i.e. it is part of the ON condition, which matters for outer
-/// kinds).
-pub fn hash_join(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    kind: JoinKind,
-    residual: Option<&ScalarExpr>,
-    out_schema: SchemaRef,
-) -> Result<Batch> {
-    hash_join_kernel(
-        left,
-        right,
-        left_keys,
-        right_keys,
-        kind,
-        residual,
-        out_schema,
-        &KernelOptions::serial(),
-        &KernelGov::unbounded(),
-    )
-    .map(|(batch, _)| batch)
-}
 
 /// Key columns of both sides cast to a common type per position so
 /// the vectorized hash/equality kernels see identical layouts. Only
@@ -81,11 +52,16 @@ fn common_key_columns<'a>(
     Ok(Some((lcols, rcols)))
 }
 
-/// [`hash_join`] with explicit kernel knobs and a memory governor,
-/// reporting what the key kernel did (mode, partitions, build/probe
-/// time, spill) for EXPLAIN ANALYZE.
+/// Hash join on equi-keys under a memory governor, reporting what
+/// the key kernel did (mode, partitions, build/probe time, spill) for
+/// EXPLAIN ANALYZE.
+///
+/// `residual` (if any) is evaluated over the combined
+/// `left ++ right` layout and participates in *match* semantics
+/// (i.e. it is part of the ON condition, which matters for outer
+/// kinds).
 #[allow(clippy::too_many_arguments)]
-pub fn hash_join_kernel(
+pub fn hash_join(
     left: &Batch,
     right: &Batch,
     left_keys: &[usize],
@@ -105,7 +81,7 @@ pub fn hash_join_kernel(
         Some((lcols, rcols)) => {
             let lrefs: Vec<&Array> = lcols.iter().map(Cow::as_ref).collect();
             let rrefs: Vec<&Array> = rcols.iter().map(Cow::as_ref).collect();
-            equi_join_pairs_gov(&lrefs, &rrefs, opts, gov)?
+            equi_join_pairs(&lrefs, &rrefs, opts, gov)?
         }
         None => (
             Vec::new(),
@@ -392,33 +368,41 @@ mod tests {
         JoinNode::compute_schema(left().schema(), right().schema(), kind)
     }
 
+    /// Ungoverned hash join on column 0 of both sides.
+    fn join(
+        l: &Batch,
+        r: &Batch,
+        kind: JoinKind,
+        residual: Option<&ScalarExpr>,
+        schema: SchemaRef,
+    ) -> Batch {
+        let (opts, gov) = (KernelOptions::default(), KernelGov::unbounded());
+        hash_join(l, r, &[0], &[0], kind, residual, schema, &opts, &gov)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn inner_join_matches_and_skips_nulls() {
-        let out = hash_join(
+        let out = join(
             &left(),
             &right(),
-            &[0],
-            &[0],
             JoinKind::Inner,
             None,
             schema_for(JoinKind::Inner),
-        )
-        .unwrap();
+        );
         assert_eq!(out.num_rows(), 3); // 1x2 + 3x1; NULLs never match
     }
 
     #[test]
     fn left_join_pads_unmatched() {
-        let out = hash_join(
+        let out = join(
             &left(),
             &right(),
-            &[0],
-            &[0],
             JoinKind::Left,
             None,
             schema_for(JoinKind::Left),
-        )
-        .unwrap();
+        );
         // 3 matches + unmatched rows 2 and NULL
         assert_eq!(out.num_rows(), 5);
         let rows = out.to_rows();
@@ -428,55 +412,43 @@ mod tests {
 
     #[test]
     fn right_and_full_joins() {
-        let out = hash_join(
+        let out = join(
             &left(),
             &right(),
-            &[0],
-            &[0],
             JoinKind::Right,
             None,
             schema_for(JoinKind::Right),
-        )
-        .unwrap();
+        );
         // 3 matches + unmatched right rows (9 and NULL)
         assert_eq!(out.num_rows(), 5);
-        let full = hash_join(
+        let full = join(
             &left(),
             &right(),
-            &[0],
-            &[0],
             JoinKind::Full,
             None,
             schema_for(JoinKind::Full),
-        )
-        .unwrap();
+        );
         // 3 matches + 2 left-unmatched + 2 right-unmatched
         assert_eq!(full.num_rows(), 7);
     }
 
     #[test]
     fn semi_and_anti() {
-        let semi = hash_join(
+        let semi = join(
             &left(),
             &right(),
-            &[0],
-            &[0],
             JoinKind::Semi,
             None,
             schema_for(JoinKind::Semi),
-        )
-        .unwrap();
+        );
         assert_eq!(semi.num_rows(), 2); // ids 1 and 3
-        let anti = hash_join(
+        let anti = join(
             &left(),
             &right(),
-            &[0],
-            &[0],
             JoinKind::Anti,
             None,
             schema_for(JoinKind::Anti),
-        )
-        .unwrap();
+        );
         assert_eq!(anti.num_rows(), 2); // id 2 and the NULL row
     }
 
@@ -487,28 +459,22 @@ mod tests {
             gis_sql::ast::BinaryOp::Gt,
             ScalarExpr::lit(Value::Float64(10.0)),
         );
-        let inner = hash_join(
+        let inner = join(
             &left(),
             &right(),
-            &[0],
-            &[0],
             JoinKind::Inner,
             Some(&residual),
             schema_for(JoinKind::Inner),
-        )
-        .unwrap();
+        );
         assert_eq!(inner.num_rows(), 2); // (1,11.0) and (3,30.0)
                                          // LEFT: non-matching due to residual still padded
-        let left_join = hash_join(
+        let left_join = join(
             &left(),
             &right(),
-            &[0],
-            &[0],
             JoinKind::Left,
             Some(&residual),
             schema_for(JoinKind::Left),
-        )
-        .unwrap();
+        );
         assert_eq!(left_join.num_rows(), 2 + 2); // 2 matches + ids 2, NULL... and id 1? id1 matched (11.0) so not padded; id3 matched; id2+null padded
     }
 
@@ -584,7 +550,7 @@ mod tests {
         let l = mk(&[Value::Float64(f64::NAN), Value::Float64(1.0), Value::Null]);
         let r = mk(&[Value::Float64(-f64::NAN), Value::Null, Value::Float64(1.0)]);
         let schema = JoinNode::compute_schema(l.schema(), r.schema(), JoinKind::Inner);
-        let out = hash_join(&l, &r, &[0], &[0], JoinKind::Inner, None, schema).unwrap();
+        let out = join(&l, &r, JoinKind::Inner, None, schema);
         // NaN matches (either payload/sign), 1.0 matches, NULLs don't.
         assert_eq!(out.num_rows(), 2);
     }
@@ -605,7 +571,7 @@ mod tests {
         )
         .unwrap();
         let schema = JoinNode::compute_schema(l.schema(), r.schema(), JoinKind::Inner);
-        let fast = hash_join(&l, &r, &[0], &[0], JoinKind::Inner, None, schema.clone()).unwrap();
+        let fast = join(&l, &r, JoinKind::Inner, None, schema.clone());
         let slow = hash_join_ref(&l, &r, &[0], &[0], JoinKind::Inner, None, schema).unwrap();
         assert_eq!(fast.to_rows(), slow.to_rows());
         assert_eq!(fast.num_rows(), 3); // id 1 twice, id 3 once
@@ -614,27 +580,21 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let l = left().slice(0, 0);
-        let out = hash_join(
+        let out = join(
             &l,
             &right(),
-            &[0],
-            &[0],
             JoinKind::Left,
             None,
             schema_for(JoinKind::Left),
-        )
-        .unwrap();
+        );
         assert_eq!(out.num_rows(), 0);
-        let anti = hash_join(
+        let anti = join(
             &left(),
             &right().slice(0, 0),
-            &[0],
-            &[0],
             JoinKind::Anti,
             None,
             schema_for(JoinKind::Anti),
-        )
-        .unwrap();
+        );
         assert_eq!(anti.num_rows(), 4);
     }
 }

@@ -20,13 +20,8 @@
 //! verified with the columnar equality kernel
 //! ([`gis_types::keys::rows_eq`]) — never by materializing `Value`s.
 //!
-//! Above [`KernelOptions::parallel_rows`] rows, both primitives
-//! radix-partition by key hash and run one scoped thread per
-//! partition (the same crossbeam pattern `physical.rs` uses for
-//! parallel fetch). Identical keys share a hash, so they land in the
-//! same partition and the per-partition results merge exactly — the
-//! output is bit-identical to the serial path, which keeps
-//! result-cache fingerprints and EXPLAIN ANALYZE row counts stable.
+//! Both run on the calling thread: a federated query's time is on the
+//! wire between sources, not here (DESIGN.md, *Serial kernels*).
 //!
 //! ## The memory governor
 //!
@@ -35,19 +30,18 @@
 //! the query deadline. When a table reservation trips the soft
 //! limit the kernel degrades instead of dying: key tags are
 //! radix-spilled to [`gis_storage::spill`] temp files (16-way on
-//! routing-hash bits 8.., disjoint from the parallel path's low
-//! bits) and partitions are processed one at a time, recursing up to
-//! [`SPILL_MAX_DEPTH`] levels when a partition is still too big.
-//! Equal keys share a routing hash, so no group or match spans two
-//! spill partitions and the same merge argument as the parallel path
-//! makes spilled output bit-identical. When no degradation is left —
-//! spill disabled, the disk cap hit, or the process pool exhausted —
-//! the query is killed cooperatively with
+//! routing-hash bits 8..) and partitions are processed one at a
+//! time, recursing up to [`SPILL_MAX_DEPTH`] levels when a partition
+//! is still too big. Equal keys share a routing hash, so no group or
+//! match spans two spill partitions, and merging partition results by
+//! first-occurrence row (groups) or by sorting (join pairs) makes
+//! spilled output bit-identical to the in-memory path. When no
+//! degradation is left — spill disabled, the disk cap hit, or the
+//! process pool exhausted — the query is killed cooperatively with
 //! [`GisError::ResourceExhausted`], checked (together with the
-//! deadline) every [`CKPT_ROWS`] rows inside build, probe, and
-//! partition-worker loops.
+//! deadline) every [`CKPT_ROWS`] rows inside build, probe, and spill
+//! loops.
 
-use crate::exec::options::ExecOptions;
 use gis_observe::span::format_us;
 use gis_observe::Span;
 use gis_storage::spill::{SpillFile, SpillRecord, SpillWriter};
@@ -71,16 +65,9 @@ fn prehashed_map<K, V>(cap: usize) -> PrehashedMap<K, V> {
     HashMap::with_capacity_and_hasher(cap, BuildPrehashed)
 }
 
-/// Tuning knobs for the key kernels.
+/// The key kernels' one test hook.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelOptions {
-    /// Input rows (build+probe for joins) at or above which the
-    /// kernels radix-partition and run one thread per partition.
-    /// `usize::MAX` keeps everything serial.
-    pub parallel_rows: usize,
-    /// Partition count for the parallel path (rounded down to a power
-    /// of two, minimum 1).
-    pub partitions: usize,
     /// Mask AND-ed onto every row hash. `u64::MAX` in production; a
     /// narrow mask (e.g. `0xF`) forces bucket collisions so tests can
     /// exercise the columnar verification path (it also disables the
@@ -88,47 +75,17 @@ pub struct KernelOptions {
     pub hash_mask: u64,
 }
 
-impl KernelOptions {
-    /// Fully serial execution with production hashing.
-    pub fn serial() -> KernelOptions {
+impl Default for KernelOptions {
+    /// Production hashing.
+    fn default() -> KernelOptions {
         KernelOptions {
-            parallel_rows: usize::MAX,
-            partitions: 1,
             hash_mask: u64::MAX,
         }
-    }
-
-    /// Kernel knobs derived from the session's [`ExecOptions`]:
-    /// the parallelism threshold comes from
-    /// [`ExecOptions::parallel_kernel_rows`], the partition count from
-    /// the host's available parallelism (capped at 8).
-    pub fn from_exec(options: &ExecOptions) -> KernelOptions {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        KernelOptions {
-            parallel_rows: options.parallel_kernel_rows,
-            partitions: cores.min(8),
-            hash_mask: u64::MAX,
-        }
-    }
-
-    /// Effective partition count: the largest power of two ≤
-    /// `partitions` (and ≥ 1).
-    fn effective_partitions(&self) -> usize {
-        let p = self.partitions.max(1);
-        1 << (usize::BITS - 1 - p.leading_zeros())
-    }
-
-    /// True when `n` input rows should take the partitioned path.
-    fn go_parallel(&self, n: usize) -> bool {
-        n >= self.parallel_rows && self.effective_partitions() > 1
     }
 }
 
 /// Cooperative-cancellation cadence: budget-kill and deadline checks
-/// run every this many rows inside kernel loops (including partition
-/// worker threads).
+/// run every this many rows inside kernel loops.
 pub const CKPT_ROWS: usize = 4096;
 const CKPT_MASK: usize = CKPT_ROWS - 1;
 
@@ -145,7 +102,8 @@ pub const SPILL_MAX_DEPTH: u32 = 8;
 const SPILL_FORCE_FLOOR: u64 = 1024;
 
 /// Spill routing: 4 bits per level starting at bit 8 of the routing
-/// hash, disjoint from the low bits the parallel path partitions on.
+/// hash. The start bit is part of the spill-file layout: moving it
+/// would change which file every row lands in.
 fn spill_bucket(route: u64, depth: u32) -> usize {
     ((route >> (8 + 4 * depth)) & (SPILL_FAN as u64 - 1)) as usize
 }
@@ -161,8 +119,7 @@ const JOIN_BUILD_COST: u64 = 28;
 const PAIR_CHUNK: usize = 4096;
 
 /// The per-kernel governor handle: the query's memory budget plus
-/// its deadline, threaded from `ExecContext` into every kernel and
-/// every partition worker.
+/// its deadline, threaded from `ExecContext` into every kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelGov<'a> {
     budget: &'a MemBudget,
@@ -202,9 +159,9 @@ impl<'a> KernelGov<'a> {
     }
 
     /// Cooperative cancellation point: errors when the budget was
-    /// killed (pool or disk exhaustion, possibly by a sibling
-    /// worker) or the query deadline has passed. Kernel loops call
-    /// this every [`CKPT_ROWS`] rows.
+    /// killed (pool or disk exhaustion, possibly by another operator
+    /// of the same query) or the query deadline has passed. Kernel
+    /// loops call this every [`CKPT_ROWS`] rows.
     pub fn checkpoint(&self) -> Result<()> {
         if self.budget.is_killed() {
             return Err(GisError::ResourceExhausted(format!(
@@ -317,15 +274,15 @@ impl Drop for MemScope<'_> {
 /// What a kernel invocation did, for EXPLAIN ANALYZE.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelStats {
-    /// `fixed` / `hashed`, with a `-par` suffix on the partitioned
-    /// path and a `-spill` suffix on the spilled path.
+    /// `fixed` / `hashed`, with a `-spill` suffix on the spilled
+    /// path.
     pub mode: &'static str,
-    /// Partitions used (1 = serial).
+    /// Partitions processed (1 = in memory, more when spilled).
     pub partitions: usize,
     /// Time spent hashing/encoding keys and building tables.
     pub build_us: u64,
     /// Time spent probing / assigning group ids (including the
-    /// parallel merge).
+    /// spilled-partition merge).
     pub probe_us: u64,
     /// High-water mark of bytes this kernel reserved against the
     /// query's memory budget (0 under an unbounded governor).
@@ -419,12 +376,10 @@ impl KeyTags {
         }
     }
 
-    fn mode(&self, parallel: bool) -> &'static str {
-        match (self, parallel) {
-            (KeyTags::Fixed(_), false) => "fixed",
-            (KeyTags::Fixed(_), true) => "fixed-par",
-            (KeyTags::Hashed(_), false) => "hashed",
-            (KeyTags::Hashed(_), true) => "hashed-par",
+    fn mode(&self) -> &'static str {
+        match self {
+            KeyTags::Fixed(_) => "fixed",
+            KeyTags::Hashed(_) => "hashed",
         }
     }
 
@@ -481,7 +436,7 @@ fn record_route(record: &SpillRecord) -> u64 {
 
 /// The groups of one row subset: first-occurrence rows plus each
 /// position's local group id (parallel to the input `rows` slice).
-/// No per-group member vectors — the merge only needs these two.
+/// No per-group member vectors — callers only need these two.
 struct SubsetGroups {
     reps: Vec<u32>,
     gid_of_pos: Vec<u32>,
@@ -491,8 +446,7 @@ struct SubsetGroups {
 /// order within the subset). With `positional` the tag of `rows[p]`
 /// is `tags[p]` (the spilled-partition layout, where tags were read
 /// back from a spill file); otherwise tags index by global row id.
-/// Checks the governor every [`CKPT_ROWS`] rows — this is the
-/// cancellation point inside partition worker threads.
+/// Checks the governor every [`CKPT_ROWS`] rows.
 fn group_subset(
     cols: &[&Array],
     tags: &KeyTags,
@@ -567,24 +521,6 @@ fn group_subset(
     Ok(SubsetGroups { reps, gid_of_pos })
 }
 
-/// Splits `0..n` into per-partition row lists by routing hash.
-fn partition_rows(tags: &KeyTags, n: usize, parts: usize) -> Vec<Vec<u32>> {
-    let mask = (parts - 1) as u64;
-    let mut out: Vec<Vec<u32>> = vec![Vec::with_capacity(n / parts + 1); parts];
-    for i in 0..n {
-        out[(tags.route(i) & mask) as usize].push(i as u32);
-    }
-    out
-}
-
-/// Assigns every row of the `cols` key tuple a dense group id.
-///
-/// Ungoverned convenience wrapper over [`group_rows_gov`] — no
-/// budget, no deadline, never spills, never fails.
-pub fn group_rows(cols: &[&Array], n: usize, opts: &KernelOptions) -> (Grouping, KernelStats) {
-    group_rows_gov(cols, n, opts, &KernelGov::unbounded()).expect("unbounded kernel cannot fail")
-}
-
 /// Assigns every row of the `cols` key tuple a dense group id, under
 /// a memory governor.
 ///
@@ -593,7 +529,7 @@ pub fn group_rows(cols: &[&Array], n: usize, opts: &KernelOptions) -> (Grouping,
 /// NaN groups with NaN, per the pinned semantics in
 /// [`gis_types::keys`]. Group ids are numbered in first-occurrence
 /// order — identical to what the `Vec<Value>` reference produced —
-/// on the serial, partitioned, *and* spilled paths.
+/// on the in-memory *and* spilled paths.
 ///
 /// Memory discipline: key tags and the output are reserved as
 /// required (tolerated past the soft limit when spilling is on);
@@ -602,7 +538,7 @@ pub fn group_rows(cols: &[&Array], n: usize, opts: &KernelOptions) -> (Grouping,
 /// at a time. Errors with [`GisError::ResourceExhausted`] only when
 /// no degradation remains, or [`GisError::Deadline`] at an expired
 /// checkpoint.
-pub fn group_rows_gov(
+pub fn group_rows(
     cols: &[&Array],
     n: usize,
     opts: &KernelOptions,
@@ -633,8 +569,8 @@ pub fn group_rows_gov(
     mem.reserve_required(tags.heap_bytes(), "group-by key tags")?;
     let build_us = t0.elapsed().as_micros() as u64;
     let t1 = Instant::now();
-    // One spillable reservation covers the hash table, the output
-    // arrays, and (on the parallel path) the partition row lists.
+    // One spillable reservation covers the hash table and the output
+    // arrays.
     let table_bytes = n as u64 * GROUP_TABLE_COST;
     if !mem.reserve_spillable(table_bytes, "group-by hash table")? {
         gov.budget().note_spill_event();
@@ -650,78 +586,22 @@ pub fn group_rows_gov(
         };
         return Ok((grouping, stats));
     }
-    if !opts.go_parallel(n) {
-        let all: Vec<u32> = (0..n as u32).collect();
-        let sub = group_subset(cols, &tags, &all, false, gov)?;
-        let probe_us = t1.elapsed().as_micros() as u64;
-        let grouping = Grouping {
-            group_of_row: sub.gid_of_pos,
-            representatives: sub.reps,
-        };
-        let stats = KernelStats {
-            mode: tags.mode(false),
-            partitions: 1,
-            build_us,
-            probe_us,
-            mem_bytes: mem.peak(),
-            spill_bytes: 0,
-            spill_parts: 0,
-        };
-        return Ok((grouping, stats));
-    }
-    let parts = opts.effective_partitions();
-    let partitions = partition_rows(&tags, n, parts);
-    let per_part: Vec<SubsetGroups> = crossbeam::thread::scope(|s| {
-        let tags = &tags;
-        let handles: Vec<_> = partitions
-            .iter()
-            .map(|rows| s.spawn(move |_| group_subset(cols, tags, rows, false, gov)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("kernel partition thread panicked"))
-            .collect::<Result<Vec<_>>>()
-    })
-    .expect("crossbeam scope")?;
-    // Identical keys share a routing hash, so no group spans two
-    // partitions: sorting by first-occurrence row recovers the exact
-    // serial group numbering, then local ids remap to global ones.
-    let mut order: Vec<(u32, u32, u32)> = Vec::new();
-    for (p, sub) in per_part.iter().enumerate() {
-        for (local, &rep) in sub.reps.iter().enumerate() {
-            order.push((rep, p as u32, local as u32));
-        }
-    }
-    order.sort_unstable_by_key(|&(rep, _, _)| rep);
-    let mut remap: Vec<Vec<u32>> = per_part.iter().map(|s| vec![0; s.reps.len()]).collect();
-    let mut representatives = Vec::with_capacity(order.len());
-    for (g, &(rep, p, local)) in order.iter().enumerate() {
-        remap[p as usize][local as usize] = g as u32;
-        representatives.push(rep);
-    }
-    let mut group_of_row = vec![0u32; n];
-    for (p, (rows, sub)) in partitions.iter().zip(&per_part).enumerate() {
-        for (pos, &row) in rows.iter().enumerate() {
-            group_of_row[row as usize] = remap[p][sub.gid_of_pos[pos] as usize];
-        }
-    }
-    let probe_us = t1.elapsed().as_micros() as u64;
+    let all: Vec<u32> = (0..n as u32).collect();
+    let sub = group_subset(cols, &tags, &all, false, gov)?;
     let stats = KernelStats {
-        mode: tags.mode(true),
-        partitions: parts,
+        mode: tags.mode(),
+        partitions: 1,
         build_us,
-        probe_us,
+        probe_us: t1.elapsed().as_micros() as u64,
         mem_bytes: mem.peak(),
         spill_bytes: 0,
         spill_parts: 0,
     };
-    Ok((
-        Grouping {
-            group_of_row,
-            representatives,
-        },
-        stats,
-    ))
+    let grouping = Grouping {
+        group_of_row: sub.gid_of_pos,
+        representatives: sub.reps,
+    };
+    Ok((grouping, stats))
 }
 
 /// Writes one spill partition pass: every row of `tags` routed into
@@ -816,8 +696,8 @@ fn read_partition(file: &SpillFile) -> Result<(Vec<u32>, KeyTags)> {
 /// Grace-hash GROUP BY: tags spilled 16-way, partitions grouped one
 /// at a time (recursing on partitions still over budget), results
 /// merged by first-occurrence representative — bit-identical to the
-/// serial path because equal keys share a routing hash and therefore
-/// a partition file at every depth.
+/// in-memory path because equal keys share a routing hash and
+/// therefore a partition file at every depth.
 fn group_spilled(
     cols: &[&Array],
     tags: &KeyTags,
@@ -869,7 +749,7 @@ fn group_spilled(
         all_reps.extend_from_slice(&sub.reps);
         mem.release(part_bytes);
     }
-    // Same merge as the parallel path: global ids are the rank of
+    // No group spans two partitions, so global ids are the rank of
     // each group's first-occurrence row.
     let mut order: Vec<u32> = (0..all_reps.len() as u32).collect();
     order.sort_unstable_by_key(|&tmp| all_reps[tmp as usize]);
@@ -1010,34 +890,20 @@ fn join_subset(
 }
 
 /// Matched `(left_row, right_row)` pairs of the equi-join
-/// `left == right` — ungoverned convenience wrapper over
-/// [`equi_join_pairs_gov`]: no budget, no deadline, never spills,
-/// never fails.
-pub fn equi_join_pairs(
-    left: &[&Array],
-    right: &[&Array],
-    opts: &KernelOptions,
-) -> (Vec<(u32, u32)>, KernelStats) {
-    equi_join_pairs_gov(left, right, opts, &KernelGov::unbounded())
-        .expect("unbounded kernel cannot fail")
-}
-
-/// Matched `(left_row, right_row)` pairs of the equi-join
 /// `left == right`, NULL keys on either side excluded, in
 /// lexicographic `(l, r)` order — exactly the order (and content) of
-/// the serial `Vec<Value>` reference, on the serial, partitioned,
-/// and spilled paths.
+/// the `Vec<Value>` reference, on the in-memory and spilled paths.
 ///
 /// The caller must pass key columns of identical data types per
 /// position (cast beforehand); mismatched positions still compare
 /// correctly via the `Value` fallback but won't hash-match.
 ///
-/// Memory discipline mirrors [`group_rows_gov`]: tags and output
+/// Memory discipline mirrors [`group_rows`]: tags and output
 /// pairs are required reservations, the build table is spillable —
 /// on soft pressure both sides radix-spill to disk and partitions
 /// are joined one at a time (grace hash), recursing when a partition
 /// pair is still over budget.
-pub fn equi_join_pairs_gov(
+pub fn equi_join_pairs(
     left: &[&Array],
     right: &[&Array],
     opts: &KernelOptions,
@@ -1071,8 +937,8 @@ pub fn equi_join_pairs_gov(
     mem.reserve_required(ltags.heap_bytes() + rtags.heap_bytes(), "join key tags")?;
     let build_us = t0.elapsed().as_micros() as u64;
     let t1 = Instant::now();
-    // One spillable reservation covers the build table, probe row
-    // lists, and (on the parallel path) the partition row lists.
+    // One spillable reservation covers the build table and the probe
+    // row lists.
     let table_bytes = rn as u64 * JOIN_BUILD_COST + (ln + rn) as u64 * 4;
     if !mem.reserve_spillable(table_bytes, "hash join build table")? {
         gov.budget().note_spill_event();
@@ -1089,58 +955,15 @@ pub fn equi_join_pairs_gov(
         };
         return Ok((pairs, stats));
     }
-    if !opts.go_parallel(ln + rn) {
-        let lrows: Vec<u32> = (0..ln as u32).collect();
-        let rrows: Vec<u32> = (0..rn as u32).collect();
-        let mut pairs = Vec::new();
-        join_subset(
-            left, right, &ltags, &rtags, &lrows, &rrows, false, gov, &mem, &mut pairs,
-        )?;
-        let stats = KernelStats {
-            mode: ltags.mode(false),
-            partitions: 1,
-            build_us,
-            probe_us: t1.elapsed().as_micros() as u64,
-            mem_bytes: mem.peak(),
-            spill_bytes: 0,
-            spill_parts: 0,
-        };
-        return Ok((pairs, stats));
-    }
-    let parts = opts.effective_partitions();
-    let lparts = partition_rows(&ltags, ln, parts);
-    let rparts = partition_rows(&rtags, rn, parts);
-    let per_part: Vec<Vec<(u32, u32)>> = crossbeam::thread::scope(|s| {
-        let (ltags, rtags) = (&ltags, &rtags);
-        let mem = &mem;
-        let handles: Vec<_> = lparts
-            .iter()
-            .zip(&rparts)
-            .map(|(lrows, rrows)| {
-                s.spawn(move |_| {
-                    let mut pairs = Vec::new();
-                    join_subset(
-                        left, right, ltags, rtags, lrows, rrows, false, gov, mem, &mut pairs,
-                    )?;
-                    Ok(pairs)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("kernel partition thread panicked"))
-            .collect::<Result<Vec<_>>>()
-    })
-    .expect("crossbeam scope")?;
-    // Equal keys share a routing hash, so every match was found in
-    // exactly one partition; sorting restores the serial order.
-    let total: usize = per_part.iter().map(Vec::len).sum();
-    mem.reserve_required(total as u64 * 8, "join pair merge")?;
-    let mut pairs: Vec<(u32, u32)> = per_part.into_iter().flatten().collect();
-    pairs.sort_unstable();
+    let lrows: Vec<u32> = (0..ln as u32).collect();
+    let rrows: Vec<u32> = (0..rn as u32).collect();
+    let mut pairs = Vec::new();
+    join_subset(
+        left, right, &ltags, &rtags, &lrows, &rrows, false, gov, &mem, &mut pairs,
+    )?;
     let stats = KernelStats {
-        mode: ltags.mode(true),
-        partitions: parts,
+        mode: ltags.mode(),
+        partitions: 1,
         build_us,
         probe_us: t1.elapsed().as_micros() as u64,
         mem_bytes: mem.peak(),
@@ -1153,9 +976,9 @@ pub fn equi_join_pairs_gov(
 /// Grace-hash join: both sides' tags spilled 16-way on the shared
 /// routing hash, bucket `b` of the left joined against bucket `b` of
 /// the right, one pair of partitions at a time (recursing when a
-/// pair is still over budget), the pair list sorted at the end —
-/// exactly the parallel path's merge, so the output is bit-identical
-/// to the serial path.
+/// pair is still over budget), the pair list sorted at the end:
+/// every match is found in exactly one bucket, so sorting restores
+/// the in-memory path's lexicographic order bit for bit.
 /// Pair list + spill bytes written + spill partitions touched.
 type SpilledJoinOut = (Vec<(u32, u32)>, u64, usize);
 
@@ -1257,26 +1080,30 @@ mod tests {
         b.finish()
     }
 
-    fn forced_parallel() -> KernelOptions {
-        KernelOptions {
-            parallel_rows: 0,
-            partitions: 4,
-            hash_mask: u64::MAX,
-        }
+    fn collide_all() -> KernelOptions {
+        KernelOptions { hash_mask: 0x3 }
     }
 
-    fn collide_all() -> KernelOptions {
-        KernelOptions {
-            parallel_rows: usize::MAX,
-            partitions: 1,
-            hash_mask: 0x3,
-        }
+    /// [`group_rows`] with production hashing and no budget.
+    fn group(cols: &[&Array], n: usize) -> (Grouping, KernelStats) {
+        group_rows(cols, n, &KernelOptions::default(), &KernelGov::unbounded()).unwrap()
+    }
+
+    /// [`equi_join_pairs`] with production hashing and no budget.
+    fn join_pairs(left: &[&Array], right: &[&Array]) -> (Vec<(u32, u32)>, KernelStats) {
+        equi_join_pairs(
+            left,
+            right,
+            &KernelOptions::default(),
+            &KernelGov::unbounded(),
+        )
+        .unwrap()
     }
 
     #[test]
     fn grouping_matches_first_occurrence_order() {
         let c = int_col(&[Some(5), Some(1), Some(5), None, Some(1), None]);
-        let (g, stats) = group_rows(&[&c], 6, &KernelOptions::serial());
+        let (g, stats) = group(&[&c], 6);
         assert_eq!(stats.mode, "fixed");
         assert_eq!(g.representatives, vec![0, 1, 3]);
         assert_eq!(g.group_of_row, vec![0, 1, 0, 2, 1, 2]);
@@ -1291,28 +1118,24 @@ mod tests {
         );
         let w = wide_col(500);
         let cols: Vec<&Array> = vec![&a, &w];
-        let (serial, s1) = group_rows(&cols, 500, &KernelOptions::serial());
+        let (serial, s1) = group(&cols, 500);
         assert_eq!(s1.mode, "hashed");
-        let (par, s2) = group_rows(&cols, 500, &forced_parallel());
-        assert_eq!(s2.mode, "hashed-par");
-        assert_eq!(s2.partitions, 4);
-        let (collided, s3) = group_rows(&cols, 500, &collide_all());
+        let (collided, s3) =
+            group_rows(&cols, 500, &collide_all(), &KernelGov::unbounded()).unwrap();
         assert_eq!(s3.mode, "hashed");
-        assert_eq!(serial.group_of_row, par.group_of_row);
-        assert_eq!(serial.representatives, par.representatives);
         assert_eq!(serial.group_of_row, collided.group_of_row);
         assert_eq!(serial.representatives, collided.representatives);
     }
 
     #[test]
     fn empty_key_and_empty_input_shapes() {
-        let (g, _) = group_rows(&[], 4, &KernelOptions::serial());
+        let (g, _) = group(&[], 4);
         assert_eq!(g.num_groups(), 1);
         assert_eq!(g.group_of_row, vec![0, 0, 0, 0]);
-        let (g, _) = group_rows(&[], 0, &KernelOptions::serial());
+        let (g, _) = group(&[], 0);
         assert_eq!(g.num_groups(), 0);
         let c = int_col(&[]);
-        let (g, _) = group_rows(&[&c], 0, &KernelOptions::serial());
+        let (g, _) = group(&[&c], 0);
         assert_eq!(g.num_groups(), 0);
     }
 
@@ -1320,7 +1143,7 @@ mod tests {
     fn join_pairs_lexicographic_and_null_free() {
         let l = int_col(&[Some(1), Some(3), None, Some(1)]);
         let r = int_col(&[Some(3), Some(1), Some(1), None]);
-        let (pairs, stats) = equi_join_pairs(&[&l], &[&r], &KernelOptions::serial());
+        let (pairs, stats) = join_pairs(&[&l], &[&r]);
         assert_eq!(stats.mode, "fixed");
         assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 0), (3, 1), (3, 2)]);
     }
@@ -1333,35 +1156,19 @@ mod tests {
         let rw = wide_col(300);
         let left: Vec<&Array> = vec![&lk, &lw];
         let right: Vec<&Array> = vec![&rk, &rw];
-        let (serial, s1) = equi_join_pairs(&left, &right, &KernelOptions::serial());
+        let (serial, s1) = join_pairs(&left, &right);
         assert_eq!(s1.mode, "hashed");
-        let (par, s2) = equi_join_pairs(&left, &right, &forced_parallel());
-        assert_eq!(s2.mode, "hashed-par");
-        let (collided, _) = equi_join_pairs(&left, &right, &collide_all());
-        assert_eq!(serial, par);
+        let (collided, _) =
+            equi_join_pairs(&left, &right, &collide_all(), &KernelGov::unbounded()).unwrap();
         assert_eq!(serial, collided);
         assert!(!serial.is_empty());
         assert!(serial.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
     }
 
     #[test]
-    fn effective_partitions_rounds_down_to_power_of_two() {
-        let mk = |p| KernelOptions {
-            parallel_rows: 0,
-            partitions: p,
-            hash_mask: u64::MAX,
-        };
-        assert_eq!(mk(0).effective_partitions(), 1);
-        assert_eq!(mk(1).effective_partitions(), 1);
-        assert_eq!(mk(3).effective_partitions(), 2);
-        assert_eq!(mk(6).effective_partitions(), 4);
-        assert_eq!(mk(8).effective_partitions(), 8);
-    }
-
-    #[test]
     fn stats_render_as_span() {
         let c = str_col(&["a", "b", "a"]);
-        let (_, stats) = group_rows(&[&c], 3, &KernelOptions::serial());
+        let (_, stats) = group(&[&c], 3);
         let span = stats.to_span();
         assert!(span.label.starts_with("kernel[fixed]"), "{}", span.label);
     }
@@ -1381,11 +1188,11 @@ mod tests {
         );
         let w = wide_col(5000);
         for cols in [vec![&a], vec![&a, &w]] {
-            let (reference, _) = group_rows(&cols, 5000, &KernelOptions::serial());
+            let (reference, _) = group(&cols, 5000);
             let budget = tight_budget();
             let gov = KernelGov::new(&budget, None, 7);
             let (spilled, stats) =
-                group_rows_gov(&cols, 5000, &KernelOptions::serial(), &gov).unwrap();
+                group_rows(&cols, 5000, &KernelOptions::default(), &gov).unwrap();
             assert!(stats.mode.ends_with("-spill"), "mode={}", stats.mode);
             assert!(stats.spill_parts > 0);
             assert!(stats.spill_bytes > 0);
@@ -1403,11 +1210,11 @@ mod tests {
         let rk = int_col(&(0..1500).map(|i| Some(i % 23)).collect::<Vec<_>>());
         let rw = wide_col(1500);
         for (left, right) in [(vec![&lk], vec![&rk]), (vec![&lk, &lw], vec![&rk, &rw])] {
-            let (reference, _) = equi_join_pairs(&left, &right, &KernelOptions::serial());
+            let (reference, _) = join_pairs(&left, &right);
             let budget = tight_budget();
             let gov = KernelGov::new(&budget, None, 7);
             let (spilled, stats) =
-                equi_join_pairs_gov(&left, &right, &KernelOptions::serial(), &gov).unwrap();
+                equi_join_pairs(&left, &right, &KernelOptions::default(), &gov).unwrap();
             assert!(stats.mode.ends_with("-spill"), "mode={}", stats.mode);
             assert!(stats.spill_parts > 0);
             assert_eq!(reference, spilled);
@@ -1422,7 +1229,7 @@ mod tests {
         let budget = tight_budget();
         let gov = KernelGov::new(&budget, None, 1);
         let (pairs, stats) =
-            equi_join_pairs_gov(&[&l], &[&r], &KernelOptions::serial(), &gov).unwrap();
+            equi_join_pairs(&[&l], &[&r], &KernelOptions::default(), &gov).unwrap();
         assert!(pairs.is_empty());
         assert!(stats.spill_parts > 0, "still spilled, found nothing");
         assert_eq!(budget.used(), 0);
@@ -1434,11 +1241,10 @@ mod tests {
         // the force floor, so a 1-byte soft limit recurses at least
         // one level before partitions drop below the floor.
         let a = int_col(&(0..40_000).map(|i| Some(i % 97)).collect::<Vec<_>>());
-        let (reference, _) = group_rows(&[&a], 40_000, &KernelOptions::serial());
+        let (reference, _) = group(&[&a], 40_000);
         let budget = tight_budget();
         let gov = KernelGov::new(&budget, None, 9);
-        let (spilled, stats) =
-            group_rows_gov(&[&a], 40_000, &KernelOptions::serial(), &gov).unwrap();
+        let (spilled, stats) = group_rows(&[&a], 40_000, &KernelOptions::default(), &gov).unwrap();
         assert!(
             stats.spill_parts > SPILL_FAN,
             "expected recursion beyond the first pass, got {} parts",
@@ -1453,7 +1259,7 @@ mod tests {
         let a = int_col(&(0..5000).map(|i| Some(i % 13)).collect::<Vec<_>>());
         let budget = gis_types::MemBudget::standalone(1, 0); // no spill
         let gov = KernelGov::new(&budget, None, 3);
-        let err = group_rows_gov(&[&a], 5000, &KernelOptions::serial(), &gov).unwrap_err();
+        let err = group_rows(&[&a], 5000, &KernelOptions::default(), &gov).unwrap_err();
         assert_eq!(err.code(), "MEM", "{err}");
         assert_eq!(budget.used(), 0, "kill path released everything");
     }
@@ -1466,33 +1272,62 @@ mod tests {
         // the ~144KB build-table estimate: dies mid-build.
         let small = gis_types::MemBudget::standalone(200_000, 0);
         let gov = KernelGov::new(&small, None, 1);
-        let err = equi_join_pairs_gov(&[&l], &[&r], &KernelOptions::serial(), &gov).unwrap_err();
+        let err = equi_join_pairs(&[&l], &[&r], &KernelOptions::default(), &gov).unwrap_err();
         assert_eq!(err.code(), "MEM");
         assert!(err.message().contains("build table"), "{err}");
         // Budget that fits tags + table but not the ~2.3M output
         // pairs: dies mid-probe on a pair-chunk reservation.
         let medium = gis_types::MemBudget::standalone(400_000, 0);
         let gov = KernelGov::new(&medium, None, 2);
-        let err = equi_join_pairs_gov(&[&l], &[&r], &KernelOptions::serial(), &gov).unwrap_err();
+        let err = equi_join_pairs(&[&l], &[&r], &KernelOptions::default(), &gov).unwrap_err();
         assert_eq!(err.code(), "MEM");
         assert!(err.message().contains("output pairs"), "{err}");
         assert_eq!(medium.used(), 0, "mid-probe kill released everything");
     }
 
+    /// The entry checkpoint of [`group_rows`] / [`equi_join_pairs`]
+    /// would fire first, so this calls the row-loop helpers directly:
+    /// their only checkpoints are the ones inside the loops.
     #[test]
-    fn expired_deadline_cancels_inside_partition_workers() {
+    fn expired_deadline_cancels_kernel() {
         let a = int_col(&(0..10_000).map(|i| Some(i % 101)).collect::<Vec<_>>());
+        let w = wide_col(10_000);
+        let rows: Vec<u32> = (0..10_000).collect();
         let budget = gis_types::MemBudget::standalone(u64::MAX, 0);
         let expired = Instant::now() - std::time::Duration::from_millis(1);
         let gov = KernelGov::new(&budget, Some(expired), 5);
-        let err = group_rows_gov(&[&a], 10_000, &forced_parallel(), &gov).unwrap_err();
+        let mem = MemScope::new(gov);
+        for cols in [vec![&a], vec![&a, &w]] {
+            let tags = KeyTags::compute(&cols, 10_000, &KernelOptions::default());
+            let err = group_subset(&cols, &tags, &rows, false, &gov)
+                .err()
+                .expect("group loop checkpoint");
+            assert_eq!(err.code(), "DEADLINE", "{err}");
+            let err = join_subset(
+                &cols,
+                &cols,
+                &tags,
+                &tags,
+                &rows,
+                &rows,
+                false,
+                &gov,
+                &mem,
+                &mut Vec::new(),
+            )
+            .unwrap_err();
+            assert_eq!(err.code(), "DEADLINE", "{err}");
+        }
+        // Through the public entry points the same expiry surfaces as
+        // the same typed error.
+        let err = group_rows(&[&a], 10_000, &KernelOptions::default(), &gov).unwrap_err();
         assert_eq!(err.code(), "DEADLINE", "{err}");
     }
 
     #[test]
     fn governor_spans_appear_only_under_pressure() {
         let c = str_col(&["a", "b", "a"]);
-        let (_, stats) = group_rows(&[&c], 3, &KernelOptions::serial());
+        let (_, stats) = group(&[&c], 3);
         assert!(
             stats.governor_spans().is_empty(),
             "unbounded kernels emit no governor spans"
@@ -1500,7 +1335,7 @@ mod tests {
         let a = int_col(&(0..3000).map(|i| Some(i % 13)).collect::<Vec<_>>());
         let budget = tight_budget();
         let gov = KernelGov::new(&budget, None, 1);
-        let (_, stats) = group_rows_gov(&[&a], 3000, &KernelOptions::serial(), &gov).unwrap();
+        let (_, stats) = group_rows(&[&a], 3000, &KernelOptions::default(), &gov).unwrap();
         let spans = stats.governor_spans();
         assert!(
             spans.iter().any(|s| s.label.starts_with("mem[")),

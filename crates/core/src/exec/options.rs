@@ -66,12 +66,6 @@ pub struct ExecOptions {
     /// default — partial answers are opt-in, flagged on
     /// [`crate::QueryResult::degraded`], and never cached.
     pub partial_results: bool,
-    /// Input rows (build + probe combined for joins) at or above
-    /// which the mediator's hash kernels (join / group-by / distinct)
-    /// radix-partition by key hash and run one scoped thread per
-    /// partition. Results are bit-identical to serial execution —
-    /// only wall time changes. `usize::MAX` disables partitioning.
-    pub parallel_kernel_rows: usize,
     /// Answer queries (or their fragments) from fresh materialized
     /// views when a registered view subsumes the plan. Disable to
     /// force shipping from sources (baselines, differential tests).
@@ -99,7 +93,6 @@ impl Default for ExecOptions {
             parallel_fetch: false,
             tracing: false,
             partial_results: false,
-            parallel_kernel_rows: 100_000,
             view_matching: true,
             bloom_semijoin: true,
         }

@@ -1,8 +1,8 @@
 //! The physical operator tree.
 
-use crate::exec::aggregate::{distinct_kernel, hash_aggregate_kernel};
+use crate::exec::aggregate::{distinct, hash_aggregate};
 use crate::exec::fragment::FragmentExec;
-use crate::exec::join::{hash_join_kernel, nested_loop_join};
+use crate::exec::join::{hash_join, nested_loop_join};
 use crate::exec::keys::{KernelGov, KernelOptions, MemScope};
 use crate::expr::eval::{evaluate, evaluate_predicate};
 use crate::expr::ScalarExpr;
@@ -556,7 +556,7 @@ impl PhysicalPlan {
                 rows_in += (l.num_rows() + r.num_rows()) as u64;
                 children.extend(ls);
                 children.extend(rs);
-                let (batch, kstats) = hash_join_kernel(
+                let (batch, kstats) = hash_join(
                     &l,
                     &r,
                     left_keys,
@@ -564,7 +564,7 @@ impl PhysicalPlan {
                     *kind,
                     residual.as_ref(),
                     schema.clone(),
-                    &KernelOptions::from_exec(&ctx.options),
+                    &KernelOptions::default(),
                     &ctx.kernel_gov(),
                 )?;
                 if trace {
@@ -593,12 +593,12 @@ impl PhysicalPlan {
                 schema,
             } => {
                 let batch = run_child(input, ctx, &mut children, &mut rows_in)?;
-                let (out, kstats) = hash_aggregate_kernel(
+                let (out, kstats) = hash_aggregate(
                     &batch,
                     group_exprs,
                     aggregates,
                     schema.clone(),
-                    &KernelOptions::from_exec(&ctx.options),
+                    &KernelOptions::default(),
                     &ctx.kernel_gov(),
                 )?;
                 if trace {
@@ -642,11 +642,7 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Distinct { input } => {
                 let batch = run_child(input, ctx, &mut children, &mut rows_in)?;
-                let (out, kstats) = distinct_kernel(
-                    &batch,
-                    &KernelOptions::from_exec(&ctx.options),
-                    &ctx.kernel_gov(),
-                )?;
+                let (out, kstats) = distinct(&batch, &KernelOptions::default(), &ctx.kernel_gov())?;
                 if trace {
                     children.push(kstats.to_span());
                     children.extend(kstats.governor_spans());
@@ -882,9 +878,14 @@ fn run_child(
     Ok(batch)
 }
 
-/// Executes two subplans, concurrently when `parallel_fetch` is on.
 type TracedBatch = (Batch, Option<Span>);
 
+/// A panic on a fetch thread fails the query, not the mediator.
+fn fetch_thread_panicked<E>(_payload: E) -> GisError {
+    GisError::Internal("fetch thread panicked".into())
+}
+
+/// Executes two subplans, concurrently when `parallel_fetch` is on.
 fn execute_pair(
     left: &PhysicalPlan,
     right: &PhysicalPlan,
@@ -896,10 +897,10 @@ fn execute_pair(
     crossbeam::thread::scope(|s| {
         let lh = s.spawn(|_| left.execute_traced(ctx));
         let r = right.execute_traced(ctx);
-        let l = lh.join().expect("left executor thread panicked");
+        let l = lh.join().map_err(fetch_thread_panicked)?;
         Ok((l?, r?))
     })
-    .expect("crossbeam scope")
+    .map_err(fetch_thread_panicked)?
 }
 
 /// Executes many subplans on one thread each.
@@ -911,10 +912,10 @@ fn execute_all_parallel(plans: &[PhysicalPlan], ctx: &ExecContext<'_>) -> Result
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("executor thread panicked"))
+            .map(|h| h.join().map_err(fetch_thread_panicked)?)
             .collect::<Result<Vec<_>>>()
     })
-    .expect("crossbeam scope")
+    .map_err(fetch_thread_panicked)?
 }
 
 fn request_summary(req: &SourceRequest) -> String {
@@ -1247,7 +1248,7 @@ fn execute_bind_join(
         let joined = Batch::concat(s, &inner_parts)?;
         Batch::try_new(b.inner.schema.clone(), joined.columns().to_vec())?
     };
-    let (batch, kstats) = hash_join_kernel(
+    let (batch, kstats) = hash_join(
         &outer,
         &inner_all,
         &b.outer_keys,
@@ -1255,7 +1256,7 @@ fn execute_bind_join(
         b.kind,
         b.residual.as_ref(),
         b.schema.clone(),
-        &KernelOptions::from_exec(ctx.options()),
+        &KernelOptions::default(),
         &ctx.kernel_gov(),
     )?;
     if trace {
@@ -1289,5 +1290,59 @@ impl BindJoinExec {
                     .expect("key columns are part of the inner output")
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::options::ExecOptions;
+    use gis_types::{DataType, Field};
+
+    fn one_row() -> PhysicalPlan {
+        PhysicalPlan::Values {
+            schema: Schema::new(vec![Field::new("k", DataType::Int64)]).into_ref(),
+            rows: vec![vec![Value::Int64(1)]],
+        }
+    }
+
+    /// A hash join keyed on ordinal 7 of a one-column input: looking
+    /// the key column up indexes out of bounds and panics.
+    fn panicking() -> PhysicalPlan {
+        PhysicalPlan::HashJoin {
+            left: Box::new(one_row()),
+            right: Box::new(one_row()),
+            left_keys: vec![7],
+            right_keys: vec![0],
+            kind: JoinKind::Semi,
+            residual: None,
+            schema: one_row().schema().clone(),
+        }
+    }
+
+    #[test]
+    fn panicking_fetch_thread_is_a_typed_error() {
+        let sources = HashMap::new();
+        let options = ExecOptions {
+            parallel_fetch: true,
+            ..ExecOptions::default()
+        };
+        let ctx = ExecContext::with_options(&sources, options);
+        let schema = one_row().schema().clone();
+        let join = PhysicalPlan::NestedLoop {
+            left: Box::new(panicking()),
+            right: Box::new(one_row()),
+            kind: JoinKind::Cross,
+            condition: None,
+            schema: schema.clone(),
+        };
+        let union = PhysicalPlan::Union {
+            inputs: vec![one_row(), panicking(), panicking()],
+            schema,
+        };
+        for plan in [join, union] {
+            let err = plan.execute(&ctx).unwrap_err();
+            assert_eq!(err, GisError::Internal("fetch thread panicked".into()));
+        }
     }
 }

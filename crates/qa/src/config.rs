@@ -51,10 +51,9 @@ pub struct EngineConfig {
 }
 
 /// The reference oracle: every optimization off, ship-whole joins,
-/// serial kernels, no caches, no view matching.
+/// single-threaded fetch, no caches, no view matching.
 pub fn oracle() -> (OptimizerOptions, ExecOptions) {
     let exec = ExecOptions {
-        parallel_kernel_rows: usize::MAX,
         parallel_fetch: false,
         view_matching: false,
         ..ExecOptions::naive()
@@ -68,7 +67,6 @@ pub fn oracle() -> (OptimizerOptions, ExecOptions) {
 pub fn matrix() -> Vec<EngineConfig> {
     let base = ExecOptions {
         view_matching: false,
-        parallel_kernel_rows: usize::MAX,
         ..ExecOptions::default()
     };
     vec![
@@ -103,13 +101,12 @@ pub fn matrix() -> Vec<EngineConfig> {
             },
             mode: Mode::Direct,
         },
-        // Partitioned parallel kernels + threaded fetch; tiny
-        // partition threshold so even 100-row inputs exercise them.
+        // Threaded fetch: join sides and union branches execute on
+        // their own threads.
         EngineConfig {
             name: "parallel",
             optimizer: OptimizerOptions::default(),
             exec: ExecOptions {
-                parallel_kernel_rows: 2,
                 parallel_fetch: true,
                 ..base
             },
@@ -143,16 +140,12 @@ pub fn matrix() -> Vec<EngineConfig> {
             mode: Mode::Faulted,
         },
         // Spill-everything: a 1-byte budget forces every hash kernel
-        // through the grace-hash disk path, combined with partitioned
-        // parallel kernels so spill routing and partition bits are
-        // exercised together. Divergence policy is the strict one.
+        // through the grace-hash disk path. Divergence policy is the
+        // strict one.
         EngineConfig {
             name: "mem_tight",
             optimizer: OptimizerOptions::default(),
-            exec: ExecOptions {
-                parallel_kernel_rows: 2,
-                ..base
-            },
+            exec: base,
             mode: Mode::MemTight,
         },
         // Starvation: same 1-byte budget, spilling disabled, so the
@@ -214,6 +207,6 @@ mod tests {
         let (opt, exec) = oracle();
         assert!(!opt.predicate_pushdown);
         assert!(!exec.view_matching);
-        assert_eq!(exec.parallel_kernel_rows, usize::MAX);
+        assert!(!exec.parallel_fetch);
     }
 }

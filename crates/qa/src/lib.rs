@@ -3,7 +3,7 @@
 //! The mediator's defining correctness property is that *every*
 //! decomposition strategy returns the answer the component systems
 //! would: six independently-toggled execution paths (pushdown,
-//! semijoin/bind-join shipping, parallel kernels, result cache,
+//! semijoin/bind-join shipping, threaded fetch, result cache,
 //! materialized views, fault retry) must agree bit-for-bit. This
 //! crate enforces that property generatively:
 //!

@@ -2,13 +2,13 @@
 //! verdict.
 //!
 //! The reference answer comes from the fully-naive oracle (no
-//! rewrites, ship-whole joins, serial kernels, no caches or views).
+//! rewrites, ship-whole joins, no caches or views).
 //! Each matrix configuration must reproduce it bit-for-bit after
 //! order normalization (rows sorted by [`Value`]'s total order).
-//! Float aggregates are the one sanctioned exception: parallel
-//! partitioning and join-strategy changes reorder additions, so two
-//! floats compare equal within one part in 10⁹ — everything else,
-//! including NaN and string bytes, must match exactly.
+//! Float aggregates are the one sanctioned exception: join-strategy
+//! changes reorder additions, so two floats compare equal within one
+//! part in 10⁹ — everything else, including NaN and string bytes,
+//! must match exactly.
 
 use crate::config::{matrix, oracle, EngineConfig, Mode};
 use crate::generator::QueryGen;

@@ -4,26 +4,24 @@
 //! collision-prone configurations — must produce **row-identical**
 //! results (content *and* order) from the new hashed/fixed kernels
 //! and the retained `Vec<Value>` reference implementations, for every
-//! `JoinKind`, GROUP BY, and DISTINCT. Each comparison runs three
-//! kernel configurations: serial, forced partitioned parallelism, and
-//! a 3-bit hash mask that crams every row into 8 buckets so the
-//! columnar collision-verification path does real work.
+//! `JoinKind`, GROUP BY, and DISTINCT. Each comparison runs two
+//! kernel configurations: production hashing, and a 3-bit hash mask
+//! that crams every row into 8 buckets so the columnar
+//! collision-verification path does real work.
 //!
 //! Float keys only ever generate the positive quiet NaN: the pinned
 //! kernel semantics ("any NaN equals any NaN") and the reference's
 //! total-order equality agree on that payload, so the oracle stays
 //! valid while NaN grouping is still exercised.
 
-use gis_adapters::AggFunc;
-use gis_core::exec::aggregate::{
-    distinct_kernel, distinct_ref, hash_aggregate_kernel, hash_aggregate_ref,
-};
-use gis_core::exec::join::{hash_join_kernel, hash_join_ref};
-use gis_core::exec::keys::{KernelGov, KernelOptions};
-use gis_core::expr::ScalarExpr;
-use gis_core::plan::logical::{AggregateExpr, JoinNode};
-use gis_sql::ast::JoinKind;
-use gis_types::{Batch, DataType, Field, MemBudget, Schema, SchemaRef, Value};
+use gis::adapters::AggFunc;
+use gis::core::exec::aggregate::{distinct, distinct_ref, hash_aggregate, hash_aggregate_ref};
+use gis::core::exec::join::{hash_join, hash_join_ref};
+use gis::core::exec::keys::{KernelGov, KernelOptions};
+use gis::core::expr::ScalarExpr;
+use gis::core::plan::logical::{AggregateExpr, JoinNode};
+use gis::sql::ast::JoinKind;
+use gis::types::{Batch, DataType, Field, MemBudget, Schema, SchemaRef, Value};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -91,26 +89,11 @@ impl KeyKind {
 /// A raw column draw: `(null, domain_value)` per row.
 type RawCol = Vec<(bool, i64)>;
 
-/// The three kernel configurations every comparison sweeps.
-fn kernel_modes() -> [(&'static str, KernelOptions); 3] {
+/// The two kernel configurations every comparison sweeps.
+fn kernel_modes() -> [(&'static str, KernelOptions); 2] {
     [
-        ("serial", KernelOptions::serial()),
-        (
-            "parallel",
-            KernelOptions {
-                parallel_rows: 0,
-                partitions: 4,
-                hash_mask: u64::MAX,
-            },
-        ),
-        (
-            "collide",
-            KernelOptions {
-                parallel_rows: usize::MAX,
-                partitions: 1,
-                hash_mask: 0x7,
-            },
-        ),
+        ("serial", KernelOptions::default()),
+        ("collide", KernelOptions { hash_mask: 0x7 }),
     ]
 }
 
@@ -213,7 +196,7 @@ fn check_join(kinds: &[KeyKind], left: &Batch, right: &Batch) -> Result<(), Test
                     Some(b) => KernelGov::new(b, None, 0),
                     None => KernelGov::unbounded(),
                 };
-                let (got, _) = hash_join_kernel(
+                let (got, _) = hash_join(
                     left,
                     right,
                     &key_cols,
@@ -308,9 +291,8 @@ fn check_group_by(kind: KeyKind, input: &Batch) -> Result<(), TestCaseError> {
                 Some(b) => KernelGov::new(b, None, 0),
                 None => KernelGov::unbounded(),
             };
-            let (got, _) =
-                hash_aggregate_kernel(input, &groups, &aggs, schema.clone(), &opts, &gov)
-                    .expect("kernel aggregate");
+            let (got, _) = hash_aggregate(input, &groups, &aggs, schema.clone(), &opts, &gov)
+                .expect("kernel aggregate");
             prop_assert_eq!(
                 got.to_rows(),
                 want.clone(),
@@ -332,7 +314,7 @@ fn check_distinct(input: &Batch) -> Result<(), TestCaseError> {
                 Some(b) => KernelGov::new(b, None, 0),
                 None => KernelGov::unbounded(),
             };
-            let (got, _) = distinct_kernel(input, &opts, &gov).expect("kernel distinct");
+            let (got, _) = distinct(input, &opts, &gov).expect("kernel distinct");
             prop_assert_eq!(
                 got.to_rows(),
                 want.clone(),

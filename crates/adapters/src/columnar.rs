@@ -3,12 +3,15 @@
 //! Models a scan-oriented analytics engine: filters (accelerated by
 //! zone maps), projections and limits execute at the source, but
 //! joins, aggregates and sorts do not — the mediator must do those.
-//! Parameterized lookups are served as repeated equality scans, which
-//! zone maps keep cheap when the key column is clustered.
+//! A parameterized lookup is one keyed pass over the table
+//! ([`ColumnStore::lookup_sealed`]): zone maps skip the segments no
+//! key can be in, and only the key columns of the rest are decoded
+//! until a row hits. A shipped Bloom filter is evaluated column at a
+//! time over the key and projected columns only.
 
 use crate::request::{SourceAdapter, SourceRequest};
 use gis_catalog::CapabilityProfile;
-use gis_storage::{CmpOp, ColumnStore, ScanPredicate, TableStats};
+use gis_storage::{ColumnStore, TableStats};
 use gis_types::{Batch, GisError, Result, SchemaRef, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -156,39 +159,21 @@ impl SourceAdapter for ColumnarAdapter {
                 projection,
                 ..
             } => {
-                let mut parts = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for key in keys {
-                    if key.len() != key_columns.len() {
-                        return Err(GisError::Internal("lookup key width mismatch".into()));
-                    }
-                    if !seen.insert(key.clone()) || key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    let preds: Vec<ScanPredicate> = key_columns
-                        .iter()
-                        .zip(key)
-                        .map(|(&c, v)| ScanPredicate::new(c, CmpOp::Eq, v.clone()))
-                        .collect();
-                    let (batch, _) = store.scan_sealed(&preds, projection, None)?;
-                    if batch.num_rows() > 0 {
-                        parts.push(batch);
-                    }
-                }
-                let out_schema = request.output_schema(store.schema())?;
-                Ok(vec![Batch::concat(out_schema, &parts)?])
+                let (batch, _metrics) = store.lookup_sealed(key_columns, keys, projection)?;
+                Ok(vec![batch])
             }
             SourceRequest::LookupFilter {
                 key_columns,
                 bloom,
                 projection,
                 ..
-            } => {
-                let (all, _) = store.scan_sealed(&[], &[], None)?;
-                crate::relational::filter_by_bloom(&all, key_columns, bloom, projection, || {
-                    request.output_schema(store.schema())
-                })
-            }
+            } => crate::relational::filter_by_bloom(
+                store.schema(),
+                key_columns,
+                bloom,
+                projection,
+                |columns| Ok(store.scan_sealed(&[], columns, None)?.0),
+            ),
         }
     }
 }
@@ -196,6 +181,7 @@ impl SourceAdapter for ColumnarAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gis_storage::{CmpOp, ScanPredicate};
     use gis_types::{DataType, Field, Schema};
 
     fn adapter() -> ColumnarAdapter {
@@ -270,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_as_repeated_scans() {
+    fn lookup_returns_rows_key_major() {
         let a = adapter();
         let req = SourceRequest::Lookup {
             table: "orders".into(),

@@ -8,8 +8,9 @@
 use crate::local_exec::{hash_aggregate, limit_batch, sort_batch};
 use crate::request::{SourceAdapter, SourceRequest};
 use gis_catalog::CapabilityProfile;
+use gis_net::KeyBloom;
 use gis_storage::{CmpOp, RowStore, ScanPredicate, TableStats};
-use gis_types::{Batch, GisError, Result, SchemaRef, Value};
+use gis_types::{Array, Batch, GisError, Result, SchemaRef, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
@@ -148,10 +149,7 @@ impl SourceAdapter for RelationalAdapter {
             let projected = joined.project(&ords)?;
             let out_schema =
                 request.join_output_schema(left_store.schema(), right_store.schema())?;
-            return Ok(vec![Batch::try_new(
-                out_schema,
-                projected.columns().to_vec(),
-            )?]);
+            return Ok(vec![projected.with_schema(out_schema)?]);
         }
         let store = tables
             .get(&request.table().to_ascii_lowercase())
@@ -226,12 +224,9 @@ impl SourceAdapter for RelationalAdapter {
                 bloom,
                 projection,
                 ..
-            } => {
-                let all = store.scan(&[], &[], None)?.batch;
-                filter_by_bloom(&all, key_columns, bloom, projection, || {
-                    request.output_schema(store.schema())
-                })
-            }
+            } => filter_by_bloom(store.schema(), key_columns, bloom, projection, |columns| {
+                Ok(store.scan(&[], columns, None)?.batch)
+            }),
         }
     }
 }
@@ -240,44 +235,53 @@ impl SourceAdapter for RelationalAdapter {
 /// be in the Bloom filter (NULL keys match nothing, like `Lookup`),
 /// then project. Used by every adapter whose profile advertises
 /// `filter_lookup`.
+///
+/// Works a column at a time: `scan` is asked for the key and projected
+/// columns only (ascending table ordinals, no predicates), the key
+/// columns are hashed into one `u64` per row exactly as
+/// [`KeyBloom::hash_key`] would hash the row's key tuple, and one keep
+/// mask filters the projected columns.
 pub(crate) fn filter_by_bloom(
-    all: &Batch,
+    table: &SchemaRef,
     key_columns: &[usize],
-    bloom: &gis_net::KeyBloom,
+    bloom: &KeyBloom,
     projection: &[usize],
-    out_schema: impl FnOnce() -> Result<SchemaRef>,
+    scan: impl FnOnce(&[usize]) -> Result<Batch>,
 ) -> Result<Vec<Batch>> {
-    use gis_net::KeyBloom;
-    let width = all.schema().len();
-    for &c in key_columns {
-        if c >= width {
-            return Err(GisError::Internal(format!(
-                "filter key ordinal {c} out of range for {width}-column table"
-            )));
-        }
+    let width = table.len();
+    if let Some(c) = key_columns.iter().find(|&&c| c >= width) {
+        return Err(GisError::Internal(format!(
+            "filter key ordinal {c} out of range for {width}-column table"
+        )));
     }
-    let ords: Vec<usize> = if projection.is_empty() {
+    let mut needed: Vec<usize> = if projection.is_empty() {
         (0..width).collect()
     } else {
-        projection.to_vec()
+        projection.iter().chain(key_columns).copied().collect()
     };
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    let mut key = Vec::with_capacity(key_columns.len());
-    'rows: for r in 0..all.num_rows() {
-        key.clear();
-        for &c in key_columns {
-            let v = all.column(c).value_at(r);
-            if v.is_null() {
-                continue 'rows;
-            }
-            key.push(v);
-        }
-        if bloom.contains(KeyBloom::hash_key(&key)) {
-            rows.push(ords.iter().map(|&c| all.column(c).value_at(r)).collect());
-        }
-    }
-    let schema = out_schema()?;
-    Ok(vec![Batch::from_rows(schema, &rows)?])
+    needed.sort_unstable();
+    needed.dedup();
+    let scanned = scan(&needed)?;
+    let at = |c: usize| {
+        needed
+            .binary_search(&c)
+            .map_err(|_| GisError::Internal(format!("filter scan is missing column {c}")))
+    };
+    let keys: Vec<&Array> = key_columns
+        .iter()
+        .map(|&c| Ok(scanned.column(at(c)?)))
+        .collect::<Result<_>>()?;
+    let keep: Vec<bool> = KeyBloom::hash_columns(&keys)
+        .iter()
+        .enumerate()
+        .map(|(r, &h)| keys.iter().all(|k| k.is_valid(r)) && bloom.contains(h))
+        .collect();
+    let output: Vec<usize> = if projection.is_empty() {
+        (0..width).collect()
+    } else {
+        projection.iter().map(|&c| at(c)).collect::<Result<_>>()?
+    };
+    Ok(vec![scanned.project(&output)?.filter(&keep)?])
 }
 
 #[cfg(test)]

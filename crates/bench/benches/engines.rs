@@ -4,6 +4,8 @@
 //! pruning-friendly vs pruning-hostile predicates).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gis_adapters::{ColumnarAdapter, SourceAdapter, SourceRequest};
+use gis_net::KeyBloom;
 use gis_storage::{CmpOp, ColumnStore, KvStore, RowStore, ScanPredicate};
 use gis_types::{DataType, Field, Schema, SchemaRef, Value};
 use std::hint::black_box;
@@ -178,5 +180,64 @@ fn bench_kv_store(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_row_store, bench_column_store, bench_kv_store);
+/// Keyed access on the column store as the semijoin path drives it:
+/// 100k rows, ten per key, the key column unclustered (every zone map
+/// spans the whole key domain, so nothing prunes and each lookup is
+/// one full probe pass).
+fn bench_keyed_access(c: &mut Criterion) {
+    const KEYED_ROWS: i64 = 100_000;
+    const DISTINCT: i64 = 10_000;
+    let rows = || {
+        (0..KEYED_ROWS).map(|i| {
+            vec![
+                Value::Int64(i),
+                Value::Int64(i * 7919 % DISTINCT),
+                Value::Float64((i % 1000) as f64),
+            ]
+        })
+    };
+    let key = |k: i64| vec![Value::Int64(k * 37 % DISTINCT)];
+
+    let mut store = ColumnStore::new("t", schema());
+    store.append_many(rows()).unwrap();
+    store.seal().unwrap();
+    let mut group = c.benchmark_group("columnar_lookup");
+    for n in [16i64, 128, 1024] {
+        let keys: Vec<Vec<Value>> = (0..n).map(key).collect();
+        group.bench_function(format!("{n}_keys"), |b| {
+            b.iter(|| {
+                let (batch, _) = store.lookup_sealed(&[1], &keys, &[0, 2]).unwrap();
+                black_box(batch.num_rows())
+            })
+        });
+    }
+    group.finish();
+
+    let adapter = ColumnarAdapter::new("sales");
+    adapter.add_table(ColumnStore::new("t", schema()));
+    adapter.load("t", rows()).unwrap();
+    let mut bloom = KeyBloom::sized_for(128, 0.01);
+    for k in 0..128 {
+        bloom.insert(KeyBloom::hash_key(&key(k)));
+    }
+    let request = SourceRequest::LookupFilter {
+        table: "t".into(),
+        key_columns: vec![1],
+        bloom,
+        projection: vec![0, 2],
+    };
+    let mut group = c.benchmark_group("bloom_filter");
+    group.bench_function("100k_rows", |b| {
+        b.iter(|| black_box(adapter.execute(&request).unwrap()[0].num_rows()))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_row_store,
+    bench_column_store,
+    bench_kv_store,
+    bench_keyed_access
+);
 criterion_main!(benches);

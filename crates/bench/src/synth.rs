@@ -45,7 +45,7 @@ fn all_valid(n: usize) -> Bitmap {
 pub fn int64_keys(n: usize, cardinality: u64, seed: u64) -> Array {
     let mut rng = Xorshift::new(seed);
     let vals: Vec<i64> = (0..n).map(|_| rng.below(cardinality) as i64).collect();
-    Array::Int64(vals, all_valid(n))
+    Array::Int64(vals.into(), all_valid(n).into())
 }
 
 /// `n` Utf8 keys over `cardinality` distinct strings. `long` pads
@@ -63,7 +63,7 @@ pub fn utf8_keys(n: usize, cardinality: u64, long: bool, seed: u64) -> Array {
             }
         })
         .collect();
-    Array::Utf8(vals, all_valid(n))
+    Array::Utf8(vals.into(), all_valid(n).into())
 }
 
 /// Schema of a two-column `(k, v)` batch.
@@ -85,7 +85,7 @@ pub fn kv_batch(n: usize, cardinality: u64, long_utf8_keys: bool, seed: u64) -> 
     };
     let mut rng = Xorshift::new(seed ^ 0xabcd_ef01_2345_6789);
     let vals: Vec<i64> = (0..n).map(|_| rng.below(1_000) as i64).collect();
-    let payload = Array::Int64(vals, all_valid(n));
+    let payload = Array::Int64(vals.into(), all_valid(n).into());
     Batch::try_new(kv_schema(key.data_type()), vec![key, payload]).expect("kv batch")
 }
 

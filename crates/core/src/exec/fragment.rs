@@ -91,7 +91,7 @@ impl FragmentExec {
             _ => projected,
         };
         // Install the alias-qualified output schema.
-        let batch = Batch::try_new(self.schema.clone(), limited.columns().to_vec())?;
+        let batch = limited.with_schema(self.schema.clone())?;
         let span = started.map(|t| {
             let mut s = Span::leaf(format!("Fragment[{}]", self.source))
                 .with_rows_in(rows_in)

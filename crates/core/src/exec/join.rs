@@ -231,7 +231,7 @@ fn assemble(
             let li: Vec<usize> = pairs.iter().map(|p| p.0).collect();
             let ri: Vec<usize> = pairs.iter().map(|p| p.1).collect();
             let combined = left.take(&li).hstack(&right.take(&ri))?;
-            Batch::try_new(out_schema, combined.columns().to_vec())
+            combined.with_schema(out_schema)
         }
         JoinKind::Semi => {
             let mut seen: HashSet<usize> = HashSet::new();
@@ -242,16 +242,14 @@ fn assemble(
                 }
             }
             keep.sort_unstable();
-            let out = left.take(&keep);
-            Batch::try_new(out_schema, out.columns().to_vec())
+            left.take(&keep).with_schema(out_schema)
         }
         JoinKind::Anti => {
             let matched: HashSet<usize> = pairs.iter().map(|p| p.0).collect();
             let keep: Vec<usize> = (0..left.num_rows())
                 .filter(|l| !matched.contains(l))
                 .collect();
-            let out = left.take(&keep);
-            Batch::try_new(out_schema, out.columns().to_vec())
+            left.take(&keep).with_schema(out_schema)
         }
         JoinKind::Left | JoinKind::Right | JoinKind::Full => {
             let matched_left: HashSet<usize> = pairs.iter().map(|p| p.0).collect();
@@ -285,7 +283,7 @@ fn assemble(
                 let pad = null_left.hstack(&right_rows)?;
                 combined = Batch::concat(combined.schema().clone(), &[combined.clone(), pad])?;
             }
-            Batch::try_new(out_schema, combined.columns().to_vec())
+            combined.with_schema(out_schema)
         }
     }
 }

@@ -247,7 +247,7 @@ impl RemoteJoinExec {
             None => mapped,
         };
         let projected = filtered.project(&self.output_positions)?;
-        let batch = Batch::try_new(self.schema.clone(), projected.columns().to_vec())?;
+        let batch = projected.with_schema(self.schema.clone())?;
         let span = started.map(|t| {
             let mut s = Span::leaf(format!("RemoteJoin[{}]", self.source))
                 .with_rows_in(rows_in)
@@ -636,7 +636,7 @@ impl PhysicalPlan {
                 // Re-install the union schema (names may differ).
                 let parts: Vec<Batch> = raw
                     .into_iter()
-                    .map(|b| Batch::try_new(schema.clone(), b.columns().to_vec()))
+                    .map(|b| b.with_schema(schema.clone()))
                     .collect::<Result<_>>()?;
                 Batch::concat(schema.clone(), &parts)?
             }
@@ -660,9 +660,7 @@ impl PhysicalPlan {
             }
             // The rows live at the mediator; re-stamp them with the
             // consumer-side schema (names positionally match).
-            PhysicalPlan::ViewScan { schema, batch, .. } => {
-                Batch::try_new(schema.clone(), batch.columns().to_vec())?
-            }
+            PhysicalPlan::ViewScan { schema, batch, .. } => batch.with_schema(schema.clone())?,
         };
         let span = started.map(|t| {
             let mut s = Span::leaf(self.span_label())
@@ -1098,15 +1096,7 @@ fn execute_bind_join(
         let mut ok = true;
         for (component, &kexp) in key.iter().zip(key_columns.iter()) {
             let export_type = b.inner.export_schema.field(kexp).data_type;
-            // Find the mapping column feeding from this export col
-            // among fetched key positions: use the global ordinal the
-            // planner stored via inner_key_positions/fetched_global.
-            let g = b.inner.fetched_global[b
-                .inner_key_positions
-                .get(export_key.len())
-                .copied()
-                .unwrap_or(0)];
-            let cm = &b.inner.mapping.columns[g];
+            let cm = b.inner_key_mapping(export_key.len())?;
             match cm.transform.invert_literal(component, export_type) {
                 Some(v) => export_key.push(v),
                 None => {
@@ -1245,14 +1235,13 @@ fn execute_bind_join(
         Batch::empty(b.inner.schema.clone())
     } else {
         let s = inner_parts[0].schema().clone();
-        let joined = Batch::concat(s, &inner_parts)?;
-        Batch::try_new(b.inner.schema.clone(), joined.columns().to_vec())?
+        Batch::concat(s, &inner_parts)?.with_schema(b.inner.schema.clone())?
     };
     let (batch, kstats) = hash_join(
         &outer,
         &inner_all,
         &b.outer_keys,
-        &b.inner_key_positions_output(),
+        &b.inner_key_positions_output()?,
         b.kind,
         b.residual.as_ref(),
         b.schema.clone(),
@@ -1278,8 +1267,25 @@ fn execute_bind_join(
 }
 
 impl BindJoinExec {
+    /// The mapping column that feeds inner key component `k`: the
+    /// planner stores, per key, its position in the fragment's
+    /// fetched-global layout. A plan whose positions are short or out
+    /// of range is a planner bug, reported as such rather than
+    /// inverting the key through some other column's transform.
+    fn inner_key_mapping(&self, k: usize) -> Result<&gis_catalog::ColumnMapping> {
+        self.inner_key_positions
+            .get(k)
+            .and_then(|&pos| self.inner.fetched_global.get(pos))
+            .and_then(|&g| self.inner.mapping.columns.get(g))
+            .ok_or_else(|| {
+                GisError::Internal(format!(
+                    "bind join has no inner mapping column for key component {k}"
+                ))
+            })
+    }
+
     /// Key positions within the inner fragment's *output* layout.
-    fn inner_key_positions_output(&self) -> Vec<usize> {
+    fn inner_key_positions_output(&self) -> Result<Vec<usize>> {
         self.inner_key_positions
             .iter()
             .map(|&fetched_pos| {
@@ -1287,7 +1293,11 @@ impl BindJoinExec {
                     .output_positions
                     .iter()
                     .position(|&p| p == fetched_pos)
-                    .expect("key columns are part of the inner output")
+                    .ok_or_else(|| {
+                        GisError::Internal(format!(
+                            "bind join key at fetched position {fetched_pos} is not part of the inner output"
+                        ))
+                    })
             })
             .collect()
     }
@@ -1318,6 +1328,101 @@ mod tests {
             residual: None,
             schema: one_row().schema().clone(),
         }
+    }
+
+    /// A one-source registry (`sales.orders(k, v)`, 8 rows) and a
+    /// semijoin of `one_row()` against it whose plan the tests corrupt.
+    fn bind_join_fixture() -> (HashMap<String, SourceGroup>, BindJoinExec) {
+        use gis_adapters::{ColumnarAdapter, RemoteSource};
+        use gis_net::{Link, NetworkConditions, SimClock};
+        let export = Schema::new(vec![
+            Field::required("k", DataType::Int64),
+            Field::new("v", DataType::Int64),
+        ])
+        .into_ref();
+        let adapter = ColumnarAdapter::new("sales");
+        adapter.add_table(gis_storage::ColumnStore::new("orders", export.clone()));
+        adapter
+            .load(
+                "orders",
+                (0..8).map(|i| vec![Value::Int64(i % 2), Value::Int64(i)]),
+            )
+            .unwrap();
+        let link = Link::new("sales", NetworkConditions::instant(), SimClock::new());
+        let group = SourceGroup::new(RemoteSource::new(Arc::new(adapter), link));
+        let inner = FragmentExec {
+            source: "sales".into(),
+            request: SourceRequest::Lookup {
+                table: "orders".into(),
+                key_columns: vec![0],
+                keys: vec![],
+                projection: vec![],
+            },
+            export_schema: export.clone(),
+            mapping: TableMapping::identity("orders", "sales", "orders", &export),
+            fetched_global: vec![0, 1],
+            residual: None,
+            output_positions: vec![0, 1],
+            post_fetch: None,
+            schema: export.clone(),
+            rows_est: 0,
+        };
+        let join = BindJoinExec {
+            outer: Box::new(one_row()),
+            outer_keys: vec![0],
+            inner,
+            inner_key_positions: vec![0],
+            kind: JoinKind::Semi,
+            residual: None,
+            batch_size: usize::MAX,
+            schema: one_row().schema().clone(),
+            label: "semijoin",
+            filter_capable: false,
+            inner_rows_est: 8,
+            inner_row_bytes: 16,
+        };
+        (HashMap::from([("sales".to_string(), group)]), join)
+    }
+
+    #[test]
+    fn bind_join_fixture_is_sound() {
+        let (sources, join) = bind_join_fixture();
+        let ctx = ExecContext::new(&sources);
+        let out = PhysicalPlan::BindJoin(join).execute(&ctx).unwrap();
+        assert_eq!(out.to_rows(), vec![vec![Value::Int64(1)]]);
+    }
+
+    /// Key positions shorter than the key list used to fall back to
+    /// position 0 — some other column's transform. Now the plan is
+    /// refused before a single key ships.
+    #[test]
+    fn short_inner_key_positions_are_a_typed_error() {
+        let (sources, mut join) = bind_join_fixture();
+        join.inner_key_positions.clear();
+        let ctx = ExecContext::new(&sources);
+        let err = PhysicalPlan::BindJoin(join).execute(&ctx).unwrap_err();
+        assert_eq!(
+            err,
+            GisError::Internal("bind join has no inner mapping column for key component 0".into())
+        );
+        assert_eq!(sources["sales"].link().metrics().messages(), 0);
+    }
+
+    /// A key column the inner fragment does not output used to panic
+    /// (`expect`) after the lookups had run.
+    #[test]
+    fn inner_key_missing_from_the_output_is_a_typed_error() {
+        let (sources, mut join) = bind_join_fixture();
+        join.inner.output_positions = vec![1];
+        join.inner.schema = Schema::new(vec![Field::new("v", DataType::Int64)]).into_ref();
+        let ctx = ExecContext::new(&sources);
+        let err = PhysicalPlan::BindJoin(join).execute(&ctx).unwrap_err();
+        assert_eq!(
+            err,
+            GisError::Internal(
+                "bind join key at fetched position 0 is not part of the inner output".into()
+            )
+        );
     }
 
     #[test]

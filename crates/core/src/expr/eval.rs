@@ -9,6 +9,7 @@ use crate::expr::like::like_match;
 use crate::expr::ScalarExpr;
 use gis_sql::ast::{BinaryOp, UnaryOp};
 use gis_types::{Array, ArrayBuilder, Batch, DataType, GisError, Result, Value};
+use std::sync::Arc;
 
 /// Evaluates `expr` over every row of `batch`, producing a column.
 pub fn evaluate(expr: &ScalarExpr, batch: &Batch) -> Result<Array> {
@@ -198,14 +199,17 @@ fn eval_unary(op: UnaryOp, input: &Array) -> Result<Array> {
         }
         UnaryOp::Neg => match input {
             Array::Int32(v, m) => Ok(Array::Int32(
-                v.iter().map(|x| x.wrapping_neg()).collect(),
+                Arc::new(v.iter().map(|x| x.wrapping_neg()).collect()),
                 m.clone(),
             )),
             Array::Int64(v, m) => Ok(Array::Int64(
-                v.iter().map(|x| x.wrapping_neg()).collect(),
+                Arc::new(v.iter().map(|x| x.wrapping_neg()).collect()),
                 m.clone(),
             )),
-            Array::Float64(v, m) => Ok(Array::Float64(v.iter().map(|x| -x).collect(), m.clone())),
+            Array::Float64(v, m) => Ok(Array::Float64(
+                Arc::new(v.iter().map(|x| -x).collect()),
+                m.clone(),
+            )),
             other => Err(GisError::Execution(format!(
                 "cannot negate {}",
                 other.data_type()

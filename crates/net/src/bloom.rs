@@ -14,9 +14,9 @@
 //! key values, making it stable across processes and platforms — the
 //! filter crosses the (simulated) wire.
 
-use crate::wire::{encode_value, get_uvarint, put_uvarint, truncated};
+use crate::wire::{get_uvarint, put_uvarint, truncated, type_tag};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gis_types::{GisError, Result, Value};
+use gis_types::{Array, DataType, GisError, Result, Value};
 
 /// Hard ceiling on filter size: a filter this large (16 MiB) has lost
 /// to shipping the keys outright long before, and the bound keeps a
@@ -25,6 +25,66 @@ pub const MAX_BLOOM_BYTES: usize = 16 << 20;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// A running FNV-1a hash fed the pieces of the wire encoding.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(FNV_OFFSET)
+    }
+
+    #[inline]
+    fn byte(self, b: u8) -> Fnv {
+        Fnv((self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    }
+
+    #[inline]
+    fn bytes(self, bytes: &[u8]) -> Fnv {
+        bytes.iter().fold(self, |h, &b| h.byte(b))
+    }
+
+    /// The bytes of [`put_uvarint`].
+    #[inline]
+    fn uvarint(mut self, mut v: u64) -> Fnv {
+        loop {
+            let byte = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                return self.byte(byte);
+            }
+            self = self.byte(byte | 0x80);
+        }
+    }
+
+    /// The bytes of `put_ivarint` (zigzag, then varint).
+    #[inline]
+    fn ivarint(self, v: i64) -> Fnv {
+        self.uvarint(((v << 1) ^ (v >> 63)) as u64)
+    }
+
+    /// The bytes of `put_str` (length prefix, then UTF-8).
+    #[inline]
+    fn str(self, s: &str) -> Fnv {
+        self.uvarint(s.len() as u64).bytes(s.as_bytes())
+    }
+
+    /// The bytes of [`crate::wire::encode_value`]: type tag, then payload.
+    fn value(self, v: &Value) -> Fnv {
+        let h = self.byte(type_tag(v.data_type()));
+        match v {
+            Value::Null => h,
+            Value::Boolean(b) => h.byte(u8::from(*b)),
+            Value::Int32(x) => h.ivarint(i64::from(*x)),
+            Value::Int64(x) => h.ivarint(*x),
+            Value::Float64(x) => h.bytes(&x.to_le_bytes()),
+            Value::Utf8(s) => h.str(s),
+            Value::Date(d) => h.ivarint(i64::from(*d)),
+            Value::Timestamp(us) => h.ivarint(*us),
+        }
+    }
+}
 
 /// A Bloom filter over join-key hashes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,18 +112,48 @@ impl KeyBloom {
     }
 
     /// Stable 64-bit hash of a composite key: FNV-1a over the tagged
-    /// wire encoding of each value.
+    /// wire encoding of each value ([`crate::wire::encode_value`]'s bytes, streamed
+    /// into the hash instead of into a buffer).
     pub fn hash_key(key: &[Value]) -> u64 {
-        let mut buf = BytesMut::new();
-        for v in key {
-            encode_value(&mut buf, v);
+        key.iter().fold(Fnv::new(), Fnv::value).0
+    }
+
+    /// [`KeyBloom::hash_key`] of every row of a set of key columns at
+    /// once: entry `r` is the hash of the tuple `columns[..][r]`, with
+    /// a NULL slot hashed as [`Value::Null`] (callers that give NULL
+    /// keys their own meaning consult the validity bitmaps). The
+    /// columns must be of equal length.
+    pub fn hash_columns(columns: &[&Array]) -> Vec<u64> {
+        let rows = columns.first().map_or(0, |c| c.len());
+        let mut hashes = vec![FNV_OFFSET; rows];
+        for column in columns {
+            macro_rules! fold {
+                ($vals:expr, $valid:expr, $tag:expr, $feed:expr) => {
+                    for (i, h) in hashes.iter_mut().enumerate() {
+                        *h = if $valid.get(i) {
+                            $feed(Fnv(*h).byte($tag), &$vals[i]).0
+                        } else {
+                            Fnv(*h).byte(type_tag(DataType::Null)).0
+                        };
+                    }
+                };
+            }
+            let tag = type_tag(column.data_type());
+            match column {
+                Array::Boolean(v, m) => fold!(v, m, tag, |h: Fnv, x: &bool| h.byte(u8::from(*x))),
+                Array::Int32(v, m) | Array::Date(v, m) => {
+                    fold!(v, m, tag, |h: Fnv, x: &i32| h.ivarint(i64::from(*x)))
+                }
+                Array::Int64(v, m) | Array::Timestamp(v, m) => {
+                    fold!(v, m, tag, |h: Fnv, x: &i64| h.ivarint(*x))
+                }
+                Array::Float64(v, m) => {
+                    fold!(v, m, tag, |h: Fnv, x: &f64| h.bytes(&x.to_le_bytes()))
+                }
+                Array::Utf8(v, m) => fold!(v, m, tag, |h: Fnv, x: &String| h.str(x)),
+            }
         }
-        let mut h = FNV_OFFSET;
-        for &b in buf.iter() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        hashes
     }
 
     fn probes(&self, h: u64) -> impl Iterator<Item = u64> + '_ {
@@ -204,6 +294,64 @@ mod tests {
             KeyBloom::hash_key(&[Value::Utf8("a".into()), Value::Utf8("bc".into())]),
             "length prefixes keep concatenations apart"
         );
+    }
+
+    /// The hash crosses the wire inside the filter, so its values are
+    /// part of the protocol: these were produced by the implementation
+    /// that hashed a materialized `encode_value` buffer, and a filter
+    /// built by either side must keep answering for the other.
+    #[test]
+    fn hash_values_are_pinned() {
+        let golden: [(Vec<Value>, u64); 9] = [
+            (vec![Value::Null], 0xaf63_bd4c_8601_b7df),
+            (vec![Value::Boolean(true)], 0x082f_2307_b4e8_8e77),
+            (vec![Value::Int32(-7)], 0x0839_5707_b4f1_3b58),
+            (vec![Value::Int64(1_234_567_890_123)], 0x2fb7_3c9d_836b_8767),
+            (vec![Value::Float64(-0.0)], 0x985b_acc3_d225_2af3),
+            (vec![Value::Utf8("fédéré".into())], 0x6013_904f_a722_ee59),
+            (vec![Value::Date(18_140)], 0x7b02_5670_5110_e70e),
+            (vec![Value::Timestamp(-1)], 0x0828_5707_b4e2_c825),
+            (
+                vec![Value::Int64(42), Value::Utf8("k42".into())],
+                0x1219_32d3_ab6f_b52d,
+            ),
+        ];
+        for (key, want) in &golden {
+            assert_eq!(KeyBloom::hash_key(key), *want, "{key:?}");
+            // The streamed hash is the hash of the encoded bytes.
+            let mut buf = BytesMut::new();
+            key.iter()
+                .for_each(|v| crate::wire::encode_value(&mut buf, v));
+            assert_eq!(Fnv::new().bytes(&buf).0, *want, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn hash_columns_agrees_with_hash_key_row_by_row() {
+        let rows: Vec<Vec<Value>> = vec![
+            vec![
+                Value::Int32(1),
+                Value::Utf8("a".into()),
+                Value::Float64(f64::NAN),
+            ],
+            vec![
+                Value::Null,
+                Value::Utf8(String::new()),
+                Value::Float64(-0.0),
+            ],
+            vec![Value::Int32(i32::MIN), Value::Null, Value::Null],
+        ];
+        let types = [DataType::Int32, DataType::Utf8, DataType::Float64];
+        let columns: Vec<Array> = (0..3)
+            .map(|c| {
+                let cells: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
+                Array::from_values(types[c], &cells).unwrap()
+            })
+            .collect();
+        let refs: Vec<&Array> = columns.iter().collect();
+        let want: Vec<u64> = rows.iter().map(|r| KeyBloom::hash_key(r)).collect();
+        assert_eq!(KeyBloom::hash_columns(&refs), want);
+        assert!(KeyBloom::hash_columns(&[]).is_empty());
     }
 
     #[test]

@@ -503,7 +503,7 @@ fn int_slots(a: &Array) -> Option<(Vec<i64>, &Bitmap)> {
         Array::Int32(v, m) | Array::Date(v, m) => {
             Some((v.iter().map(|&x| i64::from(x)).collect(), m))
         }
-        Array::Int64(v, m) | Array::Timestamp(v, m) => Some((v.clone(), m)),
+        Array::Int64(v, m) | Array::Timestamp(v, m) => Some((v.to_vec(), m)),
         _ => None,
     }
 }
@@ -713,10 +713,10 @@ fn int_array(dt: DataType, vals: Vec<i64>, validity: Bitmap) -> Result<Array> {
             .collect()
     };
     Ok(match dt {
-        DataType::Int32 => Array::Int32(narrow(&vals, &validity)?, validity),
-        DataType::Date => Array::Date(narrow(&vals, &validity)?, validity),
-        DataType::Timestamp => Array::Timestamp(vals, validity),
-        DataType::Int64 => Array::Int64(vals, validity),
+        DataType::Int32 => Array::Int32(narrow(&vals, &validity)?.into(), validity.into()),
+        DataType::Date => Array::Date(narrow(&vals, &validity)?.into(), validity.into()),
+        DataType::Timestamp => Array::Timestamp(vals.into(), validity.into()),
+        DataType::Int64 => Array::Int64(vals.into(), validity.into()),
         _ => {
             return Err(GisError::Network(
                 "integer codec on non-integer type".into(),
@@ -881,7 +881,7 @@ fn decode_column(buf: &mut Bytes, rows: usize) -> Result<Array> {
                             v.push($default);
                         }
                     }
-                    Array::$variant(v, validity)
+                    Array::$variant(v.into(), validity.into())
                 }};
             }
             Ok(match dt {

@@ -233,22 +233,22 @@ pub(crate) fn encode_array(buf: &mut BytesMut, a: &Array) {
     buf.put_slice(a.validity().as_bytes());
     match a {
         Array::Boolean(v, _) => {
-            for &b in v {
+            for &b in v.iter() {
                 buf.put_u8(u8::from(b));
             }
         }
         Array::Int32(v, _) | Array::Date(v, _) => {
-            for &x in v {
+            for &x in v.iter() {
                 buf.put_i32_le(x);
             }
         }
         Array::Int64(v, _) | Array::Timestamp(v, _) => {
-            for &x in v {
+            for &x in v.iter() {
                 buf.put_i64_le(x);
             }
         }
         Array::Float64(v, _) => {
-            for &x in v {
+            for &x in v.iter() {
                 buf.put_f64_le(x);
             }
         }
@@ -293,7 +293,7 @@ pub(crate) fn decode_array(buf: &mut Bytes) -> Result<Array> {
             for _ in 0..len {
                 v.push($read(buf));
             }
-            Array::$variant(v, validity)
+            Array::$variant(v.into(), validity.into())
         }};
     }
     Ok(match dt {
@@ -318,7 +318,7 @@ pub(crate) fn decode_array(buf: &mut Bytes) -> Result<Array> {
                     v.push(String::new());
                 }
             }
-            Array::Utf8(v, validity)
+            Array::Utf8(v.into(), validity.into())
         }
         DataType::Null => return Err(GisError::Network("null-typed array on wire".into())),
     })

@@ -14,10 +14,11 @@
 //! nearly free on this engine, which experiment T4 contrasts with the
 //! other engines.
 
-use crate::predicate::ScanPredicate;
+use crate::predicate::{CmpOp, ScanPredicate};
 use crate::stats::{StatsCollector, TableStats};
 use gis_stats::SampleSpec;
 use gis_types::{Array, ArrayBuilder, Batch, DataType, GisError, Result, SchemaRef, Value};
+use std::collections::HashMap;
 
 /// Default rows per segment.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
@@ -143,6 +144,20 @@ fn encode_column(array: &Array) -> Result<ColumnChunk> {
         .into_iter()
         .min_by_key(ColumnChunk::size_score)
         .ok_or_else(|| GisError::Internal("no encoding candidates".into()))
+}
+
+/// The integer a key value probes an integer-class column with, when
+/// `Value::total_cmp` equality between the two is plain integer
+/// equality: same type, or `Int32` against `Int64` (the f64 widening
+/// `total_cmp` applies there is exact whenever one side fits 32 bits).
+fn int_key(column: DataType, key: &Value) -> Option<i64> {
+    match (column, key) {
+        (DataType::Int32 | DataType::Int64, Value::Int32(k)) => Some(i64::from(*k)),
+        (DataType::Int32 | DataType::Int64, Value::Int64(k)) => Some(*k),
+        (DataType::Date, Value::Date(k)) => Some(i64::from(*k)),
+        (DataType::Timestamp, Value::Timestamp(k)) => Some(*k),
+        _ => None,
+    }
 }
 
 /// Zone-map entry for one column of one segment.
@@ -341,23 +356,7 @@ impl ColumnStore {
         projection: &[usize],
         limit: Option<usize>,
     ) -> Result<(Batch, ColumnScanMetrics)> {
-        let cols: Vec<usize> = if projection.is_empty() {
-            (0..self.schema.len()).collect()
-        } else {
-            projection.to_vec()
-        };
-        for &c in &cols {
-            if c >= self.schema.len() {
-                return Err(GisError::Storage(format!(
-                    "projection ordinal {c} out of range"
-                )));
-            }
-        }
-        let out_schema = if projection.is_empty() {
-            self.schema.clone()
-        } else {
-            self.schema.project(projection).into_ref()
-        };
+        let (cols, out_schema) = self.projected(projection)?;
         let mut metrics = ColumnScanMetrics::default();
         let limit = limit.unwrap_or(usize::MAX);
         let mut parts: Vec<Batch> = Vec::new();
@@ -406,9 +405,14 @@ impl ColumnStore {
             }
             let out_cols: Vec<Array> = cols
                 .iter()
-                .map(|&c| decoded[c].as_ref().expect("decoded").filter(&keep))
+                .map(|&c| decoded[c].clone().expect("decoded"))
                 .collect();
             let mut part = Batch::try_new(out_schema.clone(), out_cols)?;
+            // Without predicates every row survives: the decoded
+            // columns are the output, shared rather than copied.
+            if !predicates.is_empty() {
+                part = part.filter(&keep)?;
+            }
             if emitted + part.num_rows() > limit {
                 part = part.slice(0, limit - emitted);
             }
@@ -419,6 +423,145 @@ impl ColumnStore {
         }
         let batch = Batch::concat(out_schema, &parts)?;
         Ok((batch, metrics))
+    }
+
+    /// Validates a projection and resolves it to the ordinals and
+    /// schema a scan or lookup emits (empty = every column).
+    fn projected(&self, projection: &[usize]) -> Result<(Vec<usize>, SchemaRef)> {
+        if let Some(c) = projection.iter().find(|&&c| c >= self.schema.len()) {
+            return Err(GisError::Storage(format!(
+                "projection ordinal {c} out of range"
+            )));
+        }
+        Ok(if projection.is_empty() {
+            ((0..self.schema.len()).collect(), self.schema.clone())
+        } else {
+            (
+                projection.to_vec(),
+                self.schema.project(projection).into_ref(),
+            )
+        })
+    }
+
+    /// The keyed probe: every sealed row whose `key_columns` equal one
+    /// of `keys`, projected, in **key-major order** — keys in request
+    /// order (a repeated key counts once, a key holding NULL matches
+    /// nothing), and under each key its rows in storage order. That is
+    /// exactly what one equality scan per key, concatenated, returns,
+    /// and wire frames depend on row order, so the order is part of
+    /// the contract.
+    ///
+    /// It is answered in one pass: a segment is skipped when no key
+    /// falls inside its zone maps, only the key columns of the others
+    /// are decoded and probed against a hash table of the keys, and
+    /// the projected columns are decoded and gathered only where a row
+    /// hit. Equality is [`CmpOp::Eq`]'s, i.e. [`Value::total_cmp`]:
+    /// `Int32` and `Int64` meet by value, `NaN` equals `NaN`, `-0.0`
+    /// does not equal `0.0`. A single integer-class key column is
+    /// probed as plain `i64`s; everything else goes through `Value`
+    /// hashing, which agrees with `total_cmp` except between an
+    /// `Int64` and a `Float64` at magnitudes of 2^53 and beyond.
+    pub fn lookup_sealed(
+        &self,
+        key_columns: &[usize],
+        keys: &[Vec<Value>],
+        projection: &[usize],
+    ) -> Result<(Batch, ColumnScanMetrics)> {
+        if let Some(c) = key_columns.iter().find(|&&c| c >= self.schema.len()) {
+            return Err(GisError::Storage(format!(
+                "lookup key ordinal {c} out of range"
+            )));
+        }
+        let (cols, out_schema) = self.projected(projection)?;
+        // Distinct non-NULL keys, numbered in first-occurrence order.
+        let mut ordinal_of: HashMap<&[Value], usize> = HashMap::with_capacity(keys.len());
+        for key in keys {
+            if key.len() != key_columns.len() {
+                return Err(GisError::Internal("lookup key width mismatch".into()));
+            }
+            if !key.iter().any(Value::is_null) {
+                let next = ordinal_of.len();
+                ordinal_of.entry(key.as_slice()).or_insert(next);
+            }
+        }
+        let int_ordinal_of: Option<HashMap<i64, usize>> = match key_columns {
+            [c] => {
+                let column_type = self.schema.field(*c).data_type;
+                ordinal_of
+                    .iter()
+                    .map(|(key, &ord)| int_key(column_type, &key[0]).map(|k| (k, ord)))
+                    .collect()
+            }
+            _ => None,
+        };
+
+        let mut metrics = ColumnScanMetrics::default();
+        // Per hit, in storage order: the ordinal of the key it matched.
+        let mut hit_keys: Vec<usize> = Vec::new();
+        let mut parts: Vec<Batch> = Vec::new();
+        let mut rows_hit: Vec<usize> = Vec::new();
+        let mut row_key: Vec<Value> = Vec::with_capacity(key_columns.len());
+        for seg in &self.segments {
+            let in_zone = |key: &[Value]| {
+                key_columns.iter().zip(key).all(|(&c, v)| {
+                    let z = &seg.zones[c];
+                    z.null_count != seg.rows && CmpOp::Eq.range_may_match(&z.min, &z.max, v)
+                })
+            };
+            if !ordinal_of.keys().any(|key| in_zone(key)) {
+                metrics.segments_pruned += 1;
+                continue;
+            }
+            metrics.segments_scanned += 1;
+            metrics.rows_examined += seg.rows;
+            let key_arrays: Vec<Array> = key_columns
+                .iter()
+                .map(|&c| seg.chunks[c].decode())
+                .collect::<Result<_>>()?;
+            rows_hit.clear();
+            match (&int_ordinal_of, key_arrays.as_slice()) {
+                (Some(ints), [column]) => {
+                    for i in 0..seg.rows {
+                        if let Some(&ord) = column.as_i64_lossy(i).and_then(|k| ints.get(&k)) {
+                            rows_hit.push(i);
+                            hit_keys.push(ord);
+                        }
+                    }
+                }
+                _ => {
+                    for i in 0..seg.rows {
+                        row_key.clear();
+                        row_key.extend(key_arrays.iter().map(|a| a.value_at(i)));
+                        // A NULL component is in no key, so the probe
+                        // misses without a separate validity test.
+                        if let Some(&ord) = ordinal_of.get(row_key.as_slice()) {
+                            rows_hit.push(i);
+                            hit_keys.push(ord);
+                        }
+                    }
+                }
+            }
+            if rows_hit.is_empty() {
+                continue;
+            }
+            let decoded: Vec<Array> = cols
+                .iter()
+                .map(|&c| match key_columns.iter().position(|&k| k == c) {
+                    Some(k) => Ok(key_arrays[k].clone()),
+                    None => seg.chunks[c].decode(),
+                })
+                .collect::<Result<_>>()?;
+            parts.push(Batch::try_new(out_schema.clone(), decoded)?.take(&rows_hit));
+        }
+        let batch = Batch::concat(out_schema, &parts)?;
+        // Storage order → key-major order (stable: storage order
+        // survives within a key).
+        if hit_keys.windows(2).all(|w| w[0] <= w[1]) {
+            return Ok((batch, metrics));
+        }
+        let mut order: Vec<usize> = (0..hit_keys.len()).collect();
+        order.sort_by_key(|&i| hit_keys[i]);
+        Ok((batch.take(&order), metrics))
     }
 
     /// Collects fresh statistics (seals first).
@@ -465,7 +608,6 @@ impl ColumnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::CmpOp;
     use gis_types::{DataType, Field, Schema};
 
     fn schema() -> SchemaRef {

@@ -7,9 +7,9 @@
 //! engine is autonomous; the mediator only sees which predicates it
 //! *accepted* and how many rows came back.
 
-use crate::predicate::{all_match, CmpOp, ScanPredicate};
+use crate::predicate::{CmpOp, ScanPredicate};
 use crate::stats::{StatsCollector, TableStats};
-use gis_types::{Batch, GisError, Result, SchemaRef, Value};
+use gis_types::{ArrayBuilder, Batch, GisError, Result, SchemaRef, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -217,19 +217,19 @@ impl RowStore {
         let limit = limit.unwrap_or(usize::MAX);
         let mut matched: Vec<&Vec<Value>> = Vec::new();
         let mut examined = 0usize;
+        // The index may have already guaranteed some predicates.
+        let needs_check: Vec<&ScanPredicate> = predicates
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !prechecked.contains(i))
+            .map(|(_, p)| p)
+            .collect();
         for rid in candidates {
             let Some(row) = self.rows[rid].as_ref() else {
                 continue;
             };
             examined += 1;
-            // The index may have already guaranteed some predicates.
-            let needs_check: Vec<ScanPredicate> = predicates
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !prechecked.contains(i))
-                .map(|(_, p)| p.clone())
-                .collect();
-            if all_match(&needs_check, row) {
+            if needs_check.iter().all(|p| p.matches_row(row)) {
                 matched.push(row);
                 if matched.len() >= limit {
                     break;
@@ -246,11 +246,27 @@ impl RowStore {
         } else {
             projection.to_vec()
         };
-        let value_rows: Vec<Vec<Value>> = matched
+        // Row → column pivot, one builder per projected column: each
+        // matched cell is copied once, straight into its column
+        // (coerced first only when the stored value is not of the
+        // column's type — inserts do not coerce).
+        let mut builders: Vec<ArrayBuilder> = out_schema
+            .fields()
             .iter()
-            .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
+            .map(|f| ArrayBuilder::with_capacity(f.data_type, matched.len()))
             .collect();
-        let batch = Batch::from_rows(out_schema, &value_rows)?;
+        for row in &matched {
+            for (b, &c) in builders.iter_mut().zip(&cols) {
+                let v = &row[c];
+                if v.is_null() || v.data_type() == b.data_type() {
+                    b.push_value(v)?;
+                } else {
+                    b.push_value(&v.cast_to(b.data_type())?)?;
+                }
+            }
+        }
+        let columns = builders.into_iter().map(ArrayBuilder::finish).collect();
+        let batch = Batch::try_new(out_schema, columns)?;
         Ok(ScanResult {
             batch,
             rows_examined: examined,
@@ -537,6 +553,37 @@ mod tests {
         assert_eq!(r.batch.num_rows(), 5);
         assert_eq!(r.batch.num_columns(), 2);
         assert_eq!(r.batch.schema().field(0).name, "balance");
+    }
+
+    /// Inserts do not coerce, so a scan meets cells that are not of
+    /// their column's type: it casts those on the way into the column
+    /// and rejects the ones that cannot be.
+    #[test]
+    fn scan_coerces_stored_values_to_the_schema() {
+        let mut s = store();
+        s.insert(vec![Value::Int32(500), Value::Null, Value::Int64(7)])
+            .unwrap();
+        let r = s
+            .scan(
+                &[ScanPredicate::new(0, CmpOp::Eq, Value::Int64(500))],
+                &[],
+                None,
+            )
+            .unwrap();
+        assert_eq!(
+            format!("{:?}", r.batch.to_rows()),
+            format!(
+                "{:?}",
+                vec![vec![Value::Int64(500), Value::Null, Value::Float64(7.0)]]
+            )
+        );
+        s.insert(vec![
+            Value::Int64(501),
+            Value::Null,
+            Value::Utf8("n/a".into()),
+        ])
+        .unwrap();
+        assert!(s.scan(&[], &[2], None).is_err());
     }
 
     #[test]

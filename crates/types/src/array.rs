@@ -6,29 +6,43 @@
 //! bitmap. Operators work on whole arrays at a time, which keeps the
 //! mediator's per-row interpretive overhead off the hot path — the
 //! vectorization advice of the perf guide applied to a query engine.
+//!
+//! **A column is a shared immutable buffer.** Both halves of an array
+//! sit behind an [`Arc`], so `clone` — and everything built on it:
+//! projection, `hstack`, an identity cast, a column-reference
+//! expression, a cache hit — costs two reference counts, not one copy
+//! per cell. Nothing mutates a finished array; [`ArrayBuilder`] owns
+//! plain `Vec`s and wraps them only in [`ArrayBuilder::finish`]. The
+//! operations that produce *new* cells ([`Array::take`],
+//! [`Array::filter`], [`Array::slice`], multi-part [`Array::concat`],
+//! a real cast) allocate fresh buffers and never alias their input.
 
 use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{GisError, Result};
 use crate::value::Value;
+use std::sync::Arc;
+
+/// The shared, immutable values half of an [`Array`].
+pub type Buffer<T> = Arc<Vec<T>>;
 
 /// A typed column of values with a validity bitmap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Array {
     /// Boolean column: values + validity.
-    Boolean(Vec<bool>, Bitmap),
+    Boolean(Buffer<bool>, Arc<Bitmap>),
     /// Int32 column.
-    Int32(Vec<i32>, Bitmap),
+    Int32(Buffer<i32>, Arc<Bitmap>),
     /// Int64 column.
-    Int64(Vec<i64>, Bitmap),
+    Int64(Buffer<i64>, Arc<Bitmap>),
     /// Float64 column.
-    Float64(Vec<f64>, Bitmap),
+    Float64(Buffer<f64>, Arc<Bitmap>),
     /// Utf8 column.
-    Utf8(Vec<String>, Bitmap),
+    Utf8(Buffer<String>, Arc<Bitmap>),
     /// Date column (days since epoch).
-    Date(Vec<i32>, Bitmap),
+    Date(Buffer<i32>, Arc<Bitmap>),
     /// Timestamp column (microseconds since epoch).
-    Timestamp(Vec<i64>, Bitmap),
+    Timestamp(Buffer<i64>, Arc<Bitmap>),
 }
 
 macro_rules! dispatch {
@@ -43,6 +57,30 @@ macro_rules! dispatch {
             Array::Timestamp($vals, $valid) => $body,
         }
     };
+}
+
+/// Rebuilds `$self` in its own variant from freshly computed halves:
+/// `$body` sees the borrowed `($vals, $valid)` and yields the new
+/// `(Vec<T>, Bitmap)`.
+macro_rules! rebuild {
+    ($self:expr, ($vals:ident, $valid:ident) => $body:expr) => {
+        match $self {
+            Array::Boolean($vals, $valid) => wrap(Array::Boolean, $body),
+            Array::Int32($vals, $valid) => wrap(Array::Int32, $body),
+            Array::Int64($vals, $valid) => wrap(Array::Int64, $body),
+            Array::Float64($vals, $valid) => wrap(Array::Float64, $body),
+            Array::Utf8($vals, $valid) => wrap(Array::Utf8, $body),
+            Array::Date($vals, $valid) => wrap(Array::Date, $body),
+            Array::Timestamp($vals, $valid) => wrap(Array::Timestamp, $body),
+        }
+    };
+}
+
+fn wrap<T>(
+    variant: impl FnOnce(Buffer<T>, Arc<Bitmap>) -> Array,
+    (values, validity): (Vec<T>, Bitmap),
+) -> Array {
+    variant(Arc::new(values), Arc::new(validity))
 }
 
 impl Array {
@@ -101,27 +139,12 @@ impl Array {
     /// An empty array of the given type. `Null`-typed requests
     /// materialize as an all-null Int32 column.
     pub fn empty(dt: DataType) -> Array {
-        Array::with_capacity(dt, 0)
-    }
-
-    /// An empty array with reserved capacity.
-    pub fn with_capacity(dt: DataType, cap: usize) -> Array {
-        let m = Bitmap::with_capacity(cap);
-        match dt {
-            DataType::Boolean => Array::Boolean(Vec::with_capacity(cap), m),
-            DataType::Int32 => Array::Int32(Vec::with_capacity(cap), m),
-            DataType::Int64 => Array::Int64(Vec::with_capacity(cap), m),
-            DataType::Float64 => Array::Float64(Vec::with_capacity(cap), m),
-            DataType::Utf8 => Array::Utf8(Vec::with_capacity(cap), m),
-            DataType::Date => Array::Date(Vec::with_capacity(cap), m),
-            DataType::Timestamp => Array::Timestamp(Vec::with_capacity(cap), m),
-            DataType::Null => Array::Int32(Vec::with_capacity(cap), m),
-        }
+        ArrayBuilder::new(dt).finish()
     }
 
     /// An array of `len` NULL slots of type `dt`.
     pub fn nulls(dt: DataType, len: usize) -> Array {
-        let mut b = ArrayBuilder::new(dt);
+        let mut b = ArrayBuilder::with_capacity(dt, len);
         for _ in 0..len {
             b.push_null();
         }
@@ -130,7 +153,7 @@ impl Array {
 
     /// Builds an array from scalar values, coercing each to `dt`.
     pub fn from_values(dt: DataType, values: &[Value]) -> Result<Array> {
-        let mut b = ArrayBuilder::new(dt);
+        let mut b = ArrayBuilder::with_capacity(dt, values.len());
         for v in values {
             b.push_value(&v.cast_to(dt)?)?;
         }
@@ -140,74 +163,74 @@ impl Array {
     /// An array where every slot holds `value` (broadcast of a scalar).
     pub fn from_scalar(value: &Value, len: usize, dt: DataType) -> Result<Array> {
         let coerced = value.cast_to(dt)?;
-        let mut b = ArrayBuilder::new(dt);
+        let mut b = ArrayBuilder::with_capacity(dt, len);
         for _ in 0..len {
             b.push_value(&coerced)?;
         }
         Ok(b.finish())
     }
 
-    /// Gather: new array containing `indices` slots in order.
+    /// Gather: new array containing `indices` slots in order. Invalid
+    /// slots come out zeroed whatever the input buffer held.
     pub fn take(&self, indices: &[usize]) -> Array {
-        macro_rules! take_impl {
-            ($variant:ident, $v:expr, $m:expr, $default:expr) => {{
-                let mut vals = Vec::with_capacity(indices.len());
-                for &i in indices {
-                    vals.push(if $m.get(i) { $v[i].clone() } else { $default });
-                }
-                Array::$variant(vals, $m.take(indices))
-            }};
-        }
-        match self {
-            Array::Boolean(v, m) => take_impl!(Boolean, v, m, false),
-            Array::Int32(v, m) => take_impl!(Int32, v, m, 0),
-            Array::Int64(v, m) => take_impl!(Int64, v, m, 0),
-            Array::Float64(v, m) => take_impl!(Float64, v, m, 0.0),
-            Array::Utf8(v, m) => take_impl!(Utf8, v, m, String::new()),
-            Array::Date(v, m) => take_impl!(Date, v, m, 0),
-            Array::Timestamp(v, m) => take_impl!(Timestamp, v, m, 0),
-        }
+        rebuild!(self, (v, m) => gather(v, m, indices))
     }
 
     /// Filter: keep the slots where `keep` is true.
     pub fn filter(&self, keep: &[bool]) -> Array {
         assert_eq!(keep.len(), self.len(), "filter mask length mismatch");
-        let indices: Vec<usize> = keep
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &k)| k.then_some(i))
-            .collect();
-        self.take(&indices)
+        self.take(&mask_indices(keep))
     }
 
-    /// Zero-copy-ish slice (clones the value range).
+    /// Slots `[offset, offset+len)` as a new array (copies the range).
     pub fn slice(&self, offset: usize, len: usize) -> Array {
-        let indices: Vec<usize> = (offset..offset + len).collect();
-        self.take(&indices)
+        rebuild!(self, (v, m) => (v[offset..offset + len].to_vec(), m.slice(offset, len)))
     }
 
-    /// Concatenates arrays of identical type.
+    /// Concatenates arrays of identical type: one typed bulk append per
+    /// part. A single part is returned as is, sharing its buffers.
     pub fn concat(arrays: &[Array]) -> Result<Array> {
         let Some(first) = arrays.first() else {
             return Err(GisError::Internal("concat of zero arrays".into()));
         };
         let dt = first.data_type();
-        let mut b = ArrayBuilder::new(dt);
-        for a in arrays {
-            if a.data_type() != dt {
-                return Err(GisError::Internal(format!(
-                    "concat type mismatch: {dt} vs {}",
-                    a.data_type()
-                )));
-            }
-            for i in 0..a.len() {
-                b.push_value(&a.value_at(i))?;
-            }
+        if let Some(a) = arrays.iter().find(|a| a.data_type() != dt) {
+            return Err(GisError::Internal(format!(
+                "concat type mismatch: {dt} vs {}",
+                a.data_type()
+            )));
         }
-        Ok(b.finish())
+        if arrays.len() == 1 {
+            return Ok(first.clone());
+        }
+        let total = arrays.iter().map(Array::len).sum();
+        macro_rules! append {
+            ($variant:ident) => {{
+                let mut vals = Vec::with_capacity(total);
+                let mut valid = Bitmap::with_capacity(total);
+                for a in arrays {
+                    // Types were checked above, so every part matches.
+                    if let Array::$variant(v, m) = a {
+                        vals.extend_from_slice(v);
+                        valid.extend_from(m);
+                    }
+                }
+                wrap(Array::$variant, (vals, valid))
+            }};
+        }
+        Ok(match first {
+            Array::Boolean(..) => append!(Boolean),
+            Array::Int32(..) => append!(Int32),
+            Array::Int64(..) => append!(Int64),
+            Array::Float64(..) => append!(Float64),
+            Array::Utf8(..) => append!(Utf8),
+            Array::Date(..) => append!(Date),
+            Array::Timestamp(..) => append!(Timestamp),
+        })
     }
 
     /// Casts every slot to `target`, following [`Value::cast_to`] rules.
+    /// Casting to the array's own type shares its buffers.
     pub fn cast_to(&self, target: DataType) -> Result<Array> {
         if self.data_type() == target {
             return Ok(self.clone());
@@ -216,19 +239,19 @@ impl Array {
         // mapping layer cheap (exercised heavily by experiment T3).
         match (self, target) {
             (Array::Int32(v, m), DataType::Int64) => Ok(Array::Int64(
-                v.iter().map(|&x| x as i64).collect(),
+                Arc::new(v.iter().map(|&x| x as i64).collect()),
                 m.clone(),
             )),
             (Array::Int32(v, m), DataType::Float64) => Ok(Array::Float64(
-                v.iter().map(|&x| x as f64).collect(),
+                Arc::new(v.iter().map(|&x| x as f64).collect()),
                 m.clone(),
             )),
             (Array::Int64(v, m), DataType::Float64) => Ok(Array::Float64(
-                v.iter().map(|&x| x as f64).collect(),
+                Arc::new(v.iter().map(|&x| x as f64).collect()),
                 m.clone(),
             )),
             _ => {
-                let mut b = ArrayBuilder::new(target);
+                let mut b = ArrayBuilder::with_capacity(target, self.len());
                 for i in 0..self.len() {
                     b.push_value(&self.value_at(i).cast_to(target)?)?;
                 }
@@ -273,6 +296,29 @@ impl Array {
     }
 }
 
+/// The `indices` slots of one column's halves, in order.
+fn gather<T: Clone + Default>(v: &[T], m: &Bitmap, indices: &[usize]) -> (Vec<T>, Bitmap) {
+    if m.all_set() {
+        return (
+            indices.iter().map(|&i| v[i].clone()).collect(),
+            Bitmap::from_element(indices.len(), true),
+        );
+    }
+    let vals = indices
+        .iter()
+        .map(|&i| if m.get(i) { v[i].clone() } else { T::default() })
+        .collect();
+    (vals, m.take(indices))
+}
+
+/// Positions of the `true` entries of a keep-mask.
+pub(crate) fn mask_indices(keep: &[bool]) -> Vec<usize> {
+    keep.iter()
+        .enumerate()
+        .filter_map(|(i, &k)| k.then_some(i))
+        .collect()
+}
+
 #[inline]
 fn slot(m: &Bitmap, i: usize, f: impl FnOnce() -> Value) -> Value {
     if m.get(i) {
@@ -282,71 +328,112 @@ fn slot(m: &Bitmap, i: usize, f: impl FnOnce() -> Value) -> Value {
     }
 }
 
-/// Incremental builder for an [`Array`].
+/// The values half of a column under construction.
+#[derive(Debug)]
+enum Values {
+    Boolean(Vec<bool>),
+    Int32(Vec<i32>),
+    Int64(Vec<i64>),
+    Float64(Vec<f64>),
+    Utf8(Vec<String>),
+    Date(Vec<i32>),
+    Timestamp(Vec<i64>),
+}
+
+/// Incremental builder for an [`Array`]. It owns plain, growable
+/// buffers; only [`ArrayBuilder::finish`] — which consumes the builder
+/// — puts them behind the shared pointers an array hands out, so no
+/// array can ever observe a buffer that is still being written.
 #[derive(Debug)]
 pub struct ArrayBuilder {
-    inner: Array,
+    values: Values,
+    validity: Bitmap,
 }
 
 impl ArrayBuilder {
     /// A builder producing arrays of type `dt`.
     pub fn new(dt: DataType) -> Self {
-        ArrayBuilder {
-            inner: Array::empty(dt),
-        }
+        ArrayBuilder::with_capacity(dt, 0)
     }
 
-    /// A builder with reserved capacity.
+    /// A builder with reserved capacity. `Null`-typed requests build
+    /// an Int32 column.
     pub fn with_capacity(dt: DataType, cap: usize) -> Self {
+        let values = match dt {
+            DataType::Boolean => Values::Boolean(Vec::with_capacity(cap)),
+            DataType::Int32 | DataType::Null => Values::Int32(Vec::with_capacity(cap)),
+            DataType::Int64 => Values::Int64(Vec::with_capacity(cap)),
+            DataType::Float64 => Values::Float64(Vec::with_capacity(cap)),
+            DataType::Utf8 => Values::Utf8(Vec::with_capacity(cap)),
+            DataType::Date => Values::Date(Vec::with_capacity(cap)),
+            DataType::Timestamp => Values::Timestamp(Vec::with_capacity(cap)),
+        };
         ArrayBuilder {
-            inner: Array::with_capacity(dt, cap),
+            values,
+            validity: Bitmap::with_capacity(cap),
         }
     }
 
     /// The type being built.
     pub fn data_type(&self) -> DataType {
-        self.inner.data_type()
+        match self.values {
+            Values::Boolean(_) => DataType::Boolean,
+            Values::Int32(_) => DataType::Int32,
+            Values::Int64(_) => DataType::Int64,
+            Values::Float64(_) => DataType::Float64,
+            Values::Utf8(_) => DataType::Utf8,
+            Values::Date(_) => DataType::Date,
+            Values::Timestamp(_) => DataType::Timestamp,
+        }
     }
 
     /// Slots appended so far.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.validity.len()
     }
 
     /// True when nothing has been appended.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.validity.is_empty()
     }
 
     /// Appends a NULL slot.
     pub fn push_null(&mut self) {
-        dispatch!(&mut self.inner, (v, m) => {
-            v.push(Default::default());
-            m.push(false);
-        })
+        match &mut self.values {
+            Values::Boolean(v) => v.push(false),
+            Values::Int32(v) | Values::Date(v) => v.push(0),
+            Values::Int64(v) | Values::Timestamp(v) => v.push(0),
+            Values::Float64(v) => v.push(0.0),
+            Values::Utf8(v) => v.push(String::new()),
+        }
+        self.validity.push(false);
     }
 
     /// Appends a value, which must match the builder type exactly
     /// (or be NULL). Use [`Value::cast_to`] first for coercion.
     pub fn push_value(&mut self, value: &Value) -> Result<()> {
-        match (&mut self.inner, value) {
+        match (&mut self.values, value) {
             (_, Value::Null) => {
                 self.push_null();
-                Ok(())
+                return Ok(());
             }
-            (Array::Boolean(v, m), Value::Boolean(x)) => push(v, m, *x),
-            (Array::Int32(v, m), Value::Int32(x)) => push(v, m, *x),
-            (Array::Int64(v, m), Value::Int64(x)) => push(v, m, *x),
-            (Array::Float64(v, m), Value::Float64(x)) => push(v, m, *x),
-            (Array::Utf8(v, m), Value::Utf8(x)) => push(v, m, x.clone()),
-            (Array::Date(v, m), Value::Date(x)) => push(v, m, *x),
-            (Array::Timestamp(v, m), Value::Timestamp(x)) => push(v, m, *x),
-            (a, v) => Err(GisError::Internal(format!(
-                "builder type mismatch: array {} vs value {}",
-                a.data_type(),
-                v.data_type()
-            ))),
+            (Values::Boolean(v), Value::Boolean(x)) => v.push(*x),
+            (Values::Int32(v), Value::Int32(x)) => v.push(*x),
+            (Values::Int64(v), Value::Int64(x)) => v.push(*x),
+            (Values::Float64(v), Value::Float64(x)) => v.push(*x),
+            (Values::Utf8(v), Value::Utf8(x)) => v.push(x.clone()),
+            (Values::Date(v), Value::Date(x)) => v.push(*x),
+            (Values::Timestamp(v), Value::Timestamp(x)) => v.push(*x),
+            (_, v) => {
+                return Err(GisError::Internal(format!(
+                    "builder type mismatch: array {} vs value {}",
+                    self.data_type(),
+                    v.data_type()
+                )))
+            }
         }
+        self.validity.push(true);
+        Ok(())
     }
 
     /// Appends a raw bool (convenience for kernel outputs).
@@ -356,14 +443,17 @@ impl ArrayBuilder {
 
     /// Consumes the builder, yielding the array.
     pub fn finish(self) -> Array {
-        self.inner
+        let validity = Arc::new(self.validity);
+        match self.values {
+            Values::Boolean(v) => Array::Boolean(Arc::new(v), validity),
+            Values::Int32(v) => Array::Int32(Arc::new(v), validity),
+            Values::Int64(v) => Array::Int64(Arc::new(v), validity),
+            Values::Float64(v) => Array::Float64(Arc::new(v), validity),
+            Values::Utf8(v) => Array::Utf8(Arc::new(v), validity),
+            Values::Date(v) => Array::Date(Arc::new(v), validity),
+            Values::Timestamp(v) => Array::Timestamp(Arc::new(v), validity),
+        }
     }
-}
-
-fn push<T>(v: &mut Vec<T>, m: &mut Bitmap, x: T) -> Result<()> {
-    v.push(x);
-    m.push(true);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! batches; adapters return batches. Keeping a single unit everywhere
 //! makes the byte accounting of the federation experiments exact.
 
-use crate::array::{Array, ArrayBuilder};
+use crate::array::{mask_indices, Array, ArrayBuilder};
 use crate::error::{GisError, Result};
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
@@ -67,6 +67,14 @@ impl Batch {
             columns,
             rows: 0,
         }
+    }
+
+    /// The same columns (shared, not copied) under another schema —
+    /// how an operator installs its output names over rows it did not
+    /// change. Column count and types are validated as in
+    /// [`Batch::try_new`].
+    pub fn with_schema(&self, schema: SchemaRef) -> Result<Batch> {
+        Batch::try_new(schema, self.columns.clone())
     }
 
     /// A batch with zero columns and `rows` rows — the input relation
@@ -158,13 +166,7 @@ impl Batch {
                 self.rows
             )));
         }
-        let columns: Vec<Array> = self.columns.iter().map(|c| c.filter(keep)).collect();
-        let rows = keep.iter().filter(|&&k| k).count();
-        Ok(Batch {
-            schema: self.schema.clone(),
-            columns,
-            rows,
-        })
+        Ok(self.take(&mask_indices(keep)))
     }
 
     /// Gathers rows by index (indices may repeat / reorder).
@@ -207,7 +209,8 @@ impl Batch {
         })
     }
 
-    /// Concatenates batches with identical schemas.
+    /// Concatenates batches with identical schemas. A single part
+    /// keeps its columns (shared) and only takes on `schema`.
     pub fn concat(schema: SchemaRef, batches: &[Batch]) -> Result<Batch> {
         if batches.is_empty() {
             return Ok(Batch::empty(schema));

@@ -133,6 +133,13 @@ impl Bitmap {
     /// Returns the slice `[offset, offset+len)` as a new bitmap.
     pub fn slice(&self, offset: usize, len: usize) -> Bitmap {
         assert!(offset + len <= self.len, "slice out of bounds");
+        if offset.is_multiple_of(8) {
+            // Byte-aligned start: copy whole bytes, mask the tail.
+            let bytes = self.bits[offset / 8..(offset + len).div_ceil(8)].to_vec();
+            let mut out = Bitmap { bits: bytes, len };
+            out.mask_tail();
+            return out;
+        }
         let mut out = Bitmap::with_capacity(len);
         for i in offset..offset + len {
             out.push(self.get(i));
@@ -142,6 +149,13 @@ impl Bitmap {
 
     /// Appends all slots of `other`.
     pub fn extend_from(&mut self, other: &Bitmap) {
+        if self.len.is_multiple_of(8) {
+            // Byte-aligned end: `other`'s packed bytes (tail already
+            // masked) append as they are.
+            self.bits.extend_from_slice(&other.bits);
+            self.len += other.len;
+            return;
+        }
         for v in other.iter() {
             self.push(v);
         }
@@ -251,6 +265,23 @@ mod tests {
             bm.slice(1, 3).iter().collect::<Vec<_>>(),
             vec![false, true, true]
         );
+    }
+
+    #[test]
+    fn aligned_fast_paths_match_the_bit_loop() {
+        let pattern: Vec<bool> = (0..77).map(|i| i % 3 != 1).collect();
+        let bm = Bitmap::from_bools(&pattern);
+        for offset in [0, 8, 16, 5] {
+            for len in [0, 1, 7, 8, 9, 40] {
+                let want = Bitmap::from_bools(&pattern[offset..offset + len]);
+                assert_eq!(bm.slice(offset, len), want, "slice({offset}, {len})");
+            }
+        }
+        for head in [0, 8, 16, 3] {
+            let mut joined = Bitmap::from_bools(&pattern[..head]);
+            joined.extend_from(&Bitmap::from_bools(&pattern[head..]));
+            assert_eq!(joined, bm, "extend at {head}");
+        }
     }
 
     #[test]

@@ -7,25 +7,24 @@
 //! side of the federation is a different system.
 
 use crate::request::{AggFunc, AggSpec, SortSpec};
-use gis_types::{Batch, GisError, Result, Row, SchemaRef, SortKey, SortOrder, Value};
+use gis_types::ordering::sort_indices;
+use gis_types::{Batch, GisError, Result, Row, SchemaRef, SortKey, Value};
 use std::collections::HashMap;
 
-/// Sorts a batch under the given sort specs.
-pub fn sort_batch(batch: &Batch, sort: &[SortSpec]) -> Batch {
+/// Sorts a batch under the given sort specs, keeping the first
+/// `limit` rows when given (top-k by selection, not sort-then-cut).
+pub fn sort_batch(batch: &Batch, sort: &[SortSpec], limit: Option<u64>) -> Batch {
     let keys: Vec<SortKey> = sort
         .iter()
-        .map(|s| SortKey {
-            column: s.column,
-            order: if s.asc {
-                SortOrder::Ascending
-            } else {
-                SortOrder::Descending
-            },
-            nulls_first: s.nulls_first,
-        })
+        .map(|s| SortKey::new(s.column, s.asc, s.nulls_first))
         .collect();
-    let idx = gis_types::ordering::sorted_indices(batch, &keys);
-    batch.take(&idx)
+    let fetch = limit.map(|l| usize::try_from(l).unwrap_or(usize::MAX));
+    batch.take(&sort_indices(
+        batch.columns(),
+        batch.num_rows(),
+        &keys,
+        fetch,
+    ))
 }
 
 /// Applies a row limit.
@@ -363,16 +362,15 @@ mod tests {
     #[test]
     fn sort_and_limit() {
         let b = batch();
-        let sorted = sort_batch(
-            &b,
-            &[SortSpec {
-                column: 1,
-                asc: false,
-                nulls_first: false,
-            }],
-        );
+        let by_v_desc = [SortSpec {
+            column: 1,
+            asc: false,
+            nulls_first: false,
+        }];
+        let sorted = sort_batch(&b, &by_v_desc, None);
         assert_eq!(sorted.row_values(0)[1], Value::Int64(3));
         assert_eq!(sorted.row_values(3)[1], Value::Null);
+        assert_eq!(sort_batch(&b, &by_v_desc, Some(2)), sorted.slice(0, 2));
         let limited = limit_batch(sorted, Some(2));
         assert_eq!(limited.num_rows(), 2);
         let untouched = limit_batch(b.clone(), None);

@@ -168,13 +168,12 @@ impl SourceAdapter for RelationalAdapter {
                 } else {
                     None
                 };
-                let result = store.scan(predicates, projection, scan_limit)?;
-                let mut batch = result.batch;
-                if !sort.is_empty() {
-                    batch = sort_batch(&batch, sort);
-                }
-                batch = limit_batch(batch, *limit);
-                Ok(vec![batch])
+                let batch = store.scan(predicates, projection, scan_limit)?.batch;
+                Ok(vec![if sort.is_empty() {
+                    limit_batch(batch, *limit)
+                } else {
+                    sort_batch(&batch, sort, *limit)
+                }])
             }
             SourceRequest::Aggregate {
                 predicates,

@@ -242,13 +242,21 @@ impl RemoteSource {
         for batch in results {
             let mut offset = 0;
             loop {
-                // An empty result still ships one (small) message.
-                let chunk = batch.slice(offset, self.chunk_rows);
+                // An empty result still ships one (small) message. A
+                // result that fits one message is encoded as it is:
+                // `slice` copies every column.
+                let sliced;
+                let chunk = if batch.num_rows() <= self.chunk_rows {
+                    &batch
+                } else {
+                    sliced = batch.slice(offset, self.chunk_rows);
+                    &sliced
+                };
                 offset += chunk.num_rows();
                 let stats = if compress {
-                    encode_frame_into(&mut scratch, &chunk)
+                    encode_frame_into(&mut scratch, chunk)
                 } else {
-                    encode_legacy_into(&mut scratch, &chunk)
+                    encode_legacy_into(&mut scratch, chunk)
                 };
                 let frame = scratch.split().freeze();
                 wire_bytes += frame.len() as u64;

@@ -2,18 +2,21 @@
 //! hash join, GROUP BY, and DISTINCT on synthetic key/value batches,
 //! comparing the retained `Vec<Value>` reference path against the
 //! vectorized pipeline. Int64 keys take the fixed-width u128 path;
-//! long Utf8 keys force the hashed+verified path.
+//! long Utf8 keys force the hashed+verified path. The sort kernel
+//! (full sort and top-k) is compared against the `compare_rows`
+//! reference sort it replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gis_adapters::AggFunc;
-use gis_bench::synth::kv_batch;
+use gis_bench::synth::{kv_batch, Xorshift};
 use gis_core::exec::aggregate::{distinct, distinct_ref, hash_aggregate, hash_aggregate_ref};
 use gis_core::exec::join::{hash_join, hash_join_ref};
 use gis_core::exec::keys::{KernelGov, KernelOptions};
 use gis_core::expr::ScalarExpr;
 use gis_core::plan::logical::{AggregateExpr, JoinNode};
 use gis_sql::ast::JoinKind;
-use gis_types::{DataType, Field, Schema};
+use gis_types::ordering::{sort_indices, sorted_indices};
+use gis_types::{Batch, DataType, Field, Schema, SortKey, Value};
 
 const ROWS: usize = 100_000;
 const CARDINALITY: u64 = 1_000;
@@ -133,5 +136,68 @@ fn bench_distinct(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_group_by, bench_join, bench_distinct);
+/// `(amount f64, id i64, name utf8)`: amounts repeat (so the second
+/// key decides), ids are unique, names share a 5-byte prefix.
+fn sort_input() -> Batch {
+    let mut rng = Xorshift::new(41);
+    let rows: Vec<Vec<Value>> = (0..ROWS as i64)
+        .map(|i| {
+            vec![
+                Value::Float64(rng.below(50_000) as f64 / 100.0),
+                Value::Int64(i ^ 0x2a5a5),
+                Value::Utf8(format!("cust-{:07}", rng.below(1_000_000))),
+            ]
+        })
+        .collect();
+    let schema = Schema::new(vec![
+        Field::new("amount", DataType::Float64),
+        Field::new("id", DataType::Int64),
+        Field::new("name", DataType::Utf8),
+    ]);
+    Batch::from_rows(schema.into_ref(), &rows).expect("sort input")
+}
+
+fn bench_sort(c: &mut Criterion) {
+    let input = sort_input();
+    let cases = [
+        ("f64_desc+i64", vec![SortKey::desc(0), SortKey::asc(1)]),
+        ("i64", vec![SortKey::asc(1)]),
+        ("utf8", vec![SortKey::asc(2)]),
+    ];
+    let mut g = c.benchmark_group("sort_100k");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    for (name, keys) in &cases {
+        g.bench_function(BenchmarkId::new("reference", name), |b| {
+            b.iter(|| sorted_indices(&input, keys).len())
+        });
+        g.bench_function(BenchmarkId::new("kernel", name), |b| {
+            b.iter(|| sort_indices(input.columns(), ROWS, keys, None).len())
+        });
+    }
+    g.finish();
+    // ORDER BY amount DESC, id LIMIT 20: the reference sorts all rows
+    // and cuts, the kernel selects.
+    let keys = &cases[0].1;
+    let mut g = c.benchmark_group("topk_100k");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    g.bench_function(BenchmarkId::new("reference", "k20"), |b| {
+        b.iter(|| {
+            let mut idx = sorted_indices(&input, keys);
+            idx.truncate(20);
+            idx
+        })
+    });
+    g.bench_function(BenchmarkId::new("kernel", "k20"), |b| {
+        b.iter(|| sort_indices(input.columns(), ROWS, keys, Some(20)))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_group_by,
+    bench_join,
+    bench_distinct,
+    bench_sort
+);
 criterion_main!(benches);

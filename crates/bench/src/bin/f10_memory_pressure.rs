@@ -19,8 +19,9 @@
 //! `--smoke` shrinks the federation and the storm for CI.
 
 use gis_bench::{fmt_bytes, Report};
-use gis_core::Federation;
+use gis_core::{ExecOptions, Federation};
 use gis_datagen::{build_fedmart, FedMartConfig};
+use gis_observe::Span;
 use gis_runtime::{Runtime, RuntimeConfig};
 use gis_types::Value;
 use std::sync::Arc;
@@ -57,9 +58,31 @@ fn canon(rows: Vec<Vec<Value>>) -> Vec<String> {
     out
 }
 
-/// F10a: the same workload with and without forced spilling.
-fn spill_fidelity(report: &mut Report, smoke: bool) {
+/// The operators of a span tree whose kernel spilled (those with a
+/// `spill[kernel]` annotation), by operator name, in plan order.
+fn spilled_kernels(span: &Span, out: &mut Vec<&'static str>) {
+    if span
+        .children
+        .iter()
+        .any(|c| c.label.starts_with("spill[kernel]"))
+    {
+        out.push(match span.label.split([':', '[']).next().unwrap_or("") {
+            "Sort" => "order-by sort",
+            "HashAggregate" => "group-by",
+            "Distinct" => "distinct",
+            _ => "join",
+        });
+    }
+    for child in &span.children {
+        spilled_kernels(child, out);
+    }
+}
+
+/// F10a: the same workload with and without forced spilling. Returns
+/// the kernels that spilled in the spill-everything run.
+fn spill_fidelity(report: &mut Report, smoke: bool) -> Vec<&'static str> {
     let mut unbounded_digest: Option<Vec<String>> = None;
+    let mut spilled = Vec::new();
     for (label, limit) in [("unbounded", u64::MAX), ("spill-everything", 1u64)] {
         let fed = build(smoke);
         let runtime = Runtime::new(
@@ -87,6 +110,16 @@ fn spill_fidelity(report: &mut Report, smoke: bool) {
                     "spilled rows diverged from unbounded rows"
                 );
                 assert!(stats.spill_events > 0, "1-byte budget must force spilling");
+                let mut traced = runtime.session();
+                traced.set_exec_options(ExecOptions {
+                    tracing: true,
+                    ..traced.exec_options()
+                });
+                let r = traced.query(RUNAWAY_SQL).expect("traced governed query");
+                spilled_kernels(
+                    r.metrics.trace.as_ref().expect("tracing is on"),
+                    &mut spilled,
+                );
             }
         }
         report.row(&[
@@ -98,6 +131,7 @@ fn spill_fidelity(report: &mut Report, smoke: bool) {
             &digest.len(),
         ]);
     }
+    spilled
 }
 
 /// F10b: the storm. Returns the governed runtime's exposition so the
@@ -184,8 +218,16 @@ fn main() {
             "rows",
         ],
     );
-    spill_fidelity(&mut a, smoke);
+    let spilled = spill_fidelity(&mut a, smoke);
+    assert!(
+        spilled.contains(&"order-by sort"),
+        "the ORDER BY sort must spill under a 1-byte budget: {spilled:?}"
+    );
     a.note("Row digests are bit-identical across configs (asserted per run); spilling trades wall time for bounded memory.");
+    a.note(format!(
+        "Kernels that spilled under spill-everything, in plan order: {}.",
+        spilled.join(", ")
+    ));
     a.print();
 
     let mut b = Report::new(

@@ -14,6 +14,7 @@ pub mod keys;
 pub mod options;
 pub mod physical;
 pub mod planner;
+pub mod sort;
 
 pub use options::{ExecOptions, JoinStrategy};
 pub use physical::{ExecContext, PhysicalPlan};

@@ -3,7 +3,8 @@
 use crate::exec::aggregate::{distinct, hash_aggregate};
 use crate::exec::fragment::FragmentExec;
 use crate::exec::join::{hash_join, nested_loop_join};
-use crate::exec::keys::{KernelGov, KernelOptions, MemScope};
+use crate::exec::keys::{KernelGov, KernelOptions};
+use crate::exec::sort::sort_batch;
 use crate::expr::eval::{evaluate, evaluate_predicate};
 use crate::expr::ScalarExpr;
 use crate::metrics::{DegradedReport, DegradedSource};
@@ -14,7 +15,7 @@ use gis_net::KeyBloom;
 use gis_observe::Span;
 use gis_sql::ast::JoinKind;
 use gis_types::mem::{MemBudget, UNLIMITED};
-use gis_types::{Batch, GisError, Result, Row, Schema, SchemaRef, SortKey, SortOrder, Value};
+use gis_types::{Batch, GisError, Result, Row, Schema, SchemaRef, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -379,6 +380,9 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         /// Keys.
         keys: Vec<PhysicalSortKey>,
+        /// Rows a `Limit` above needs (its skip + fetch): the sort
+        /// keeps only that many, selected before ordering.
+        fetch: Option<usize>,
     },
     /// Skip/fetch.
     Limit {
@@ -607,9 +611,14 @@ impl PhysicalPlan {
                 }
                 out
             }
-            PhysicalPlan::Sort { input, keys } => {
+            PhysicalPlan::Sort { input, keys, fetch } => {
                 let batch = run_child(input, ctx, &mut children, &mut rows_in)?;
-                sort_batch(&batch, keys, &ctx.kernel_gov())?
+                let (out, kstats) = sort_batch(&batch, keys, *fetch, &ctx.kernel_gov())?;
+                if trace {
+                    children.push(kstats.to_span());
+                    children.extend(kstats.governor_spans());
+                }
+                out
             }
             PhysicalPlan::Limit { input, skip, fetch } => {
                 let batch = run_child(input, ctx, &mut children, &mut rows_in)?;
@@ -708,13 +717,7 @@ impl PhysicalPlan {
                     asx.join(", ")
                 )
             }
-            PhysicalPlan::Sort { keys, .. } => {
-                let ks: Vec<String> = keys
-                    .iter()
-                    .map(|k| format!("{} {}", k.expr, if k.asc { "ASC" } else { "DESC" }))
-                    .collect();
-                format!("Sort: {}", ks.join(", "))
-            }
+            PhysicalPlan::Sort { keys, fetch, .. } => sort_label(keys, *fetch),
             PhysicalPlan::Limit { skip, fetch, .. } => {
                 format!("Limit: skip={skip} fetch={fetch:?}")
             }
@@ -826,12 +829,8 @@ impl PhysicalPlan {
                 );
                 input.render(depth + 1, out);
             }
-            PhysicalPlan::Sort { input, keys } => {
-                let ks: Vec<String> = keys
-                    .iter()
-                    .map(|k| format!("{} {}", k.expr, if k.asc { "ASC" } else { "DESC" }))
-                    .collect();
-                let _ = writeln!(out, "{pad}Sort: {}", ks.join(", "));
+            PhysicalPlan::Sort { input, keys, fetch } => {
+                let _ = writeln!(out, "{pad}{}", sort_label(keys, *fetch));
                 input.render(depth + 1, out);
             }
             PhysicalPlan::Limit { input, skip, fetch } => {
@@ -916,6 +915,19 @@ fn execute_all_parallel(plans: &[PhysicalPlan], ctx: &ExecContext<'_>) -> Result
     .map_err(fetch_thread_panicked)?
 }
 
+/// `Sort: amount DESC, order_id ASC fetch=20` — the head line of a
+/// sort in `EXPLAIN` and in span trees.
+fn sort_label(keys: &[PhysicalSortKey], fetch: Option<usize>) -> String {
+    let ks: Vec<String> = keys
+        .iter()
+        .map(|k| format!("{} {}", k.expr, if k.asc { "ASC" } else { "DESC" }))
+        .collect();
+    match fetch {
+        Some(k) => format!("Sort: {} fetch={k}", ks.join(", ")),
+        None => format!("Sort: {}", ks.join(", ")),
+    }
+}
+
 fn request_summary(req: &SourceRequest) -> String {
     match req {
         SourceRequest::Scan {
@@ -969,48 +981,6 @@ fn request_summary(req: &SourceRequest) -> String {
             right_predicates.len()
         ),
     }
-}
-
-/// Estimated ORDER BY working set: one evaluated key cell per
-/// (row, key) plus the 8-byte index vector the sort permutes.
-const SORT_KEY_COST: u64 = 16;
-
-fn sort_batch(batch: &Batch, keys: &[PhysicalSortKey], gov: &KernelGov<'_>) -> Result<Batch> {
-    // The sort buffer (key batch + index vector) is a required
-    // allocation: sorts don't spill, so a budget past its hard limit
-    // cancels the query here rather than between operators.
-    gov.checkpoint()?;
-    let mem = MemScope::new(*gov);
-    let n = batch.num_rows() as u64;
-    mem.reserve_required(
-        n * (keys.len() as u64 * SORT_KEY_COST + 8),
-        "order-by sort buffer",
-    )?;
-    // Evaluate key expressions into a key-only batch, sort its row
-    // indices, and gather.
-    let mut key_cols = Vec::with_capacity(keys.len());
-    let mut key_fields = Vec::with_capacity(keys.len());
-    for (i, k) in keys.iter().enumerate() {
-        let col = evaluate(&k.expr, batch)?;
-        key_fields.push(gis_types::Field::new(format!("k{i}"), col.data_type()));
-        key_cols.push(col);
-    }
-    let key_batch = Batch::try_new(Arc::new(Schema::new(key_fields)), key_cols)?;
-    let sort_keys: Vec<SortKey> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| SortKey {
-            column: i,
-            order: if k.asc {
-                SortOrder::Ascending
-            } else {
-                SortOrder::Descending
-            },
-            nulls_first: k.nulls_first,
-        })
-        .collect();
-    let idx = gis_types::ordering::sorted_indices(&key_batch, &sort_keys);
-    Ok(batch.take(&idx))
 }
 
 fn execute_remote_agg(

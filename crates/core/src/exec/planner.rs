@@ -54,6 +54,13 @@ impl Planner<'_> {
     }
 
     fn create(&self, plan: &LogicalPlan) -> Result<PhysicalPlan> {
+        self.create_bounded(plan, None)
+    }
+
+    /// `bound` is how many leading rows of this node's output the
+    /// parent reads (a `Limit`'s skip + fetch, passed through the
+    /// row-preserving projections between it and a `Sort`).
+    fn create_bounded(&self, plan: &LogicalPlan, bound: Option<usize>) -> Result<PhysicalPlan> {
         match plan {
             LogicalPlan::TableScan(t) => {
                 let remote = self.remote(&t.resolved.source.name)?;
@@ -68,7 +75,7 @@ impl Planner<'_> {
                 exprs,
                 schema,
             } => Ok(PhysicalPlan::Project {
-                input: Box::new(self.create(input)?),
+                input: Box::new(self.create_bounded(input, bound)?),
                 exprs: exprs.clone(),
                 schema: schema.clone(),
             }),
@@ -115,6 +122,9 @@ impl Planner<'_> {
                             nulls_first: k.nulls_first,
                         })
                         .collect(),
+                    // What no source could do: the mediator keeps
+                    // only the rows the Limit above will read.
+                    fetch: bound,
                 })
             }
             LogicalPlan::Limit { input, skip, fetch } => {
@@ -143,8 +153,15 @@ impl Planner<'_> {
                         }
                     }
                 }
+                // Of its input this Limit reads the skipped rows plus
+                // as many as it and its parent both let through.
+                let passed = match (bound, *fetch) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+                let needed = passed.map(|p| p.saturating_add(*skip));
                 Ok(PhysicalPlan::Limit {
-                    input: Box::new(self.create(input)?),
+                    input: Box::new(self.create_bounded(input, needed)?),
                     skip: *skip,
                     fetch: *fetch,
                 })
@@ -468,16 +485,7 @@ impl Planner<'_> {
         };
         let fragment = build_lookup_fragment(inner, &key_global)?;
         // Positions of key globals within the fetched layout.
-        let inner_key_positions: Vec<usize> = key_global
-            .iter()
-            .map(|g| {
-                fragment
-                    .fetched_global
-                    .iter()
-                    .position(|f| f == g)
-                    .expect("keys are fetched")
-            })
-            .collect();
+        let inner_key_positions = key_positions(&fragment, &key_global)?;
         let outer_plan = self.create(&j.left)?;
         Ok(Some(PhysicalPlan::BindJoin(BindJoinExec {
             outer: Box::new(outer_plan),
@@ -732,6 +740,27 @@ impl Planner<'_> {
     }
 }
 
+/// Positions of the join-key globals within a lookup fragment's
+/// fetched layout. `build_lookup_fragment` fetches every key, so a
+/// missing one is a planner bug — reported, not panicked on.
+fn key_positions(fragment: &FragmentExec, key_global: &[usize]) -> Result<Vec<usize>> {
+    key_global
+        .iter()
+        .map(|g| {
+            fragment
+                .fetched_global
+                .iter()
+                .position(|f| f == g)
+                .ok_or_else(|| {
+                    GisError::Internal(format!(
+                        "lookup fragment on '{}' does not fetch join-key column {g}",
+                        fragment.source
+                    ))
+                })
+        })
+        .collect()
+}
+
 /// Virtual network time (µs) for `msgs` messages carrying `bytes`.
 fn virtual_cost(conditions: NetworkConditions, msgs: f64, bytes: f64) -> f64 {
     let bw = conditions.bandwidth_bytes_per_sec;
@@ -741,4 +770,139 @@ fn virtual_cost(conditions: NetworkConditions, msgs: f64, bytes: f64) -> f64 {
         bytes * 1e6 / bw as f64
     };
     msgs * conditions.latency_us as f64 + transfer
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gis_catalog::TableMapping;
+    use gis_types::{DataType, Field, Schema, Value};
+
+    fn lookup_fragment(fetched_global: Vec<usize>) -> FragmentExec {
+        let export = Schema::new(vec![
+            Field::required("k", DataType::Int64),
+            Field::new("v", DataType::Int64),
+        ])
+        .into_ref();
+        FragmentExec {
+            source: "sales".into(),
+            request: SourceRequest::Lookup {
+                table: "orders".into(),
+                key_columns: vec![0],
+                keys: vec![],
+                projection: vec![],
+            },
+            export_schema: export.clone(),
+            mapping: TableMapping::identity("orders", "sales", "orders", &export),
+            output_positions: (0..fetched_global.len()).collect(),
+            fetched_global,
+            residual: None,
+            post_fetch: None,
+            schema: export,
+            rows_est: 0,
+        }
+    }
+
+    /// A lookup fragment that does not fetch a join key used to panic
+    /// the planner (`expect("keys are fetched")`).
+    #[test]
+    fn unfetched_join_key_is_a_typed_error() {
+        assert_eq!(
+            key_positions(&lookup_fragment(vec![0, 1]), &[1, 0]).unwrap(),
+            vec![1, 0]
+        );
+        let err = key_positions(&lookup_fragment(vec![1]), &[0]).unwrap_err();
+        assert_eq!(
+            err,
+            GisError::Internal(
+                "lookup fragment on 'sales' does not fetch join-key column 0".into()
+            )
+        );
+    }
+
+    fn values(n: i64) -> LogicalPlan {
+        LogicalPlan::Values {
+            schema: Schema::new(vec![Field::new("x", DataType::Int64)]).into_ref(),
+            rows: (0..n).map(|i| vec![Value::Int64((i * 5) % 7)]).collect(),
+        }
+    }
+
+    fn sorted(input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Sort {
+            input: Box::new(input),
+            keys: vec![crate::plan::logical::SortExpr {
+                expr: ScalarExpr::col(0),
+                asc: true,
+                nulls_first: true,
+            }],
+        }
+    }
+
+    fn limit(input: LogicalPlan, skip: usize, fetch: Option<usize>) -> LogicalPlan {
+        LogicalPlan::Limit {
+            input: Box::new(input),
+            skip,
+            fetch,
+        }
+    }
+
+    fn plan(logical: &LogicalPlan) -> PhysicalPlan {
+        create_physical_plan(logical, &HashMap::new(), &ExecOptions::default()).unwrap()
+    }
+
+    fn run(logical: &LogicalPlan) -> Vec<i64> {
+        let sources = HashMap::new();
+        let ctx = crate::exec::ExecContext::new(&sources);
+        plan(logical)
+            .execute(&ctx)
+            .unwrap()
+            .to_rows()
+            .into_iter()
+            .map(|r| match r[0] {
+                Value::Int64(v) => v,
+                ref other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The Sort below a Limit keeps skip + fetch rows, whatever the
+    /// arithmetic: zero fetch, a skip past the input, saturating sums,
+    /// and a Limit over a Limit (the inner skip is *added* to what the
+    /// outer one reads, never capped by it).
+    #[test]
+    fn limit_folds_into_sort_as_skip_plus_fetch() {
+        let fetch_of = |l: &LogicalPlan| {
+            let mut node = &plan(l);
+            loop {
+                match node {
+                    PhysicalPlan::Limit { input, .. } => node = input,
+                    PhysicalPlan::Sort { fetch, .. } => return *fetch,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        };
+        // 7 rows, x = 0 5 3 1 6 4 2
+        let base = || sorted(values(7));
+        assert_eq!(fetch_of(&limit(base(), 2, Some(3))), Some(5));
+        assert_eq!(run(&limit(base(), 2, Some(3))), vec![2, 3, 4]);
+        assert_eq!(fetch_of(&limit(base(), 0, Some(0))), Some(0));
+        assert_eq!(run(&limit(base(), 0, Some(0))), Vec::<i64>::new());
+        assert_eq!(fetch_of(&limit(base(), 3, Some(0))), Some(3));
+        assert_eq!(run(&limit(base(), 3, Some(0))), Vec::<i64>::new());
+        assert_eq!(fetch_of(&limit(base(), 100, Some(5))), Some(105));
+        assert_eq!(run(&limit(base(), 100, Some(5))), Vec::<i64>::new());
+        assert_eq!(
+            fetch_of(&limit(base(), 6, Some(usize::MAX))),
+            Some(usize::MAX)
+        );
+        assert_eq!(run(&limit(base(), 6, Some(usize::MAX))), vec![6]);
+        assert_eq!(fetch_of(&limit(base(), 4, None)), None);
+        assert_eq!(run(&limit(base(), 4, None)), vec![4, 5, 6]);
+        let nested = limit(limit(base(), 4, Some(10)), 1, Some(1));
+        assert_eq!(fetch_of(&nested), Some(6));
+        assert_eq!(run(&nested), vec![5]);
+        assert!(plan(&limit(base(), 2, Some(3)))
+            .display()
+            .contains("Sort: #0 ASC fetch=5"));
+    }
 }

@@ -24,13 +24,15 @@ pub fn push_limits(plan: LogicalPlan) -> Result<LogicalPlan> {
 fn walk(plan: LogicalPlan, bound: Option<usize>) -> Result<LogicalPlan> {
     Ok(match plan {
         LogicalPlan::Limit { input, skip, fetch } => {
-            let own = fetch.map(|f| f.saturating_add(skip));
-            let tighter = match (bound, own) {
+            // The input must supply the skipped rows *plus* what this
+            // node and its parent both let through: an enclosing bound
+            // caps the fetch, never the skip.
+            let passed = match (bound, fetch) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
             LogicalPlan::Limit {
-                input: Box::new(walk(*input, tighter)?),
+                input: Box::new(walk(*input, passed.map(|p| p.saturating_add(skip)))?),
                 skip,
                 fetch,
             }

@@ -103,6 +103,22 @@ fn limit_bound_reaches_unfiltered_scan() {
     assert_eq!(shapes2[0].2, None, "{plan2}");
 }
 
+/// An outer bound used to cap the inner Limit's skip + fetch, so the
+/// scan shipped 2 rows, the inner OFFSET 4 dropped both and the
+/// answer was empty.
+#[test]
+fn nested_limits_add_the_inner_skip() {
+    let f = fed();
+    let sql = "SELECT id FROM (SELECT id FROM crm.t1 LIMIT 10 OFFSET 4) t LIMIT 1 OFFSET 1";
+    let plan = f.logical_plan(sql).unwrap();
+    assert_eq!(
+        scan_shapes(&plan)[0].2,
+        Some(6),
+        "4 + min(1 + 1, 10): {plan}"
+    );
+    assert_eq!(f.query(sql).unwrap().batch.num_rows(), 1);
+}
+
 #[test]
 fn limit_pushdown_cuts_traffic() {
     let f = fed();

@@ -43,6 +43,7 @@ use crate::wire::{
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gis_types::{Array, ArrayBuilder, Batch, Bitmap, DataType, GisError, Result, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -482,11 +483,14 @@ fn int_delta_plan(vals: &[i64], m: &Bitmap) -> (u8, i64, u8) {
     }
 }
 
-struct Plan {
+struct Plan<'a> {
     codec: ColumnCodec,
     runs: Vec<(u64, usize)>,
     dict: Option<(Vec<Value>, Vec<u16>)>,
     delta: Option<(u8, i64, u8)>,
+    /// The widened slots of an integer column, built once for the
+    /// stats pass and reused by the delta encoder.
+    ints: Option<Cow<'a, [i64]>>,
 }
 
 fn int_value(dt: DataType, v: i64) -> Value {
@@ -498,19 +502,22 @@ fn int_value(dt: DataType, v: i64) -> Value {
     }
 }
 
-fn int_slots(a: &Array) -> Option<(Vec<i64>, &Bitmap)> {
+/// An integer-class column's slots as `i64`: borrowed when they
+/// already are, widened otherwise.
+fn int_slots(a: &Array) -> Option<Cow<'_, [i64]>> {
     match a {
-        Array::Int32(v, m) | Array::Date(v, m) => {
-            Some((v.iter().map(|&x| i64::from(x)).collect(), m))
+        Array::Int32(v, _) | Array::Date(v, _) => {
+            Some(Cow::Owned(v.iter().map(|&x| i64::from(x)).collect()))
         }
-        Array::Int64(v, m) | Array::Timestamp(v, m) => Some((v.to_vec(), m)),
+        Array::Int64(v, _) | Array::Timestamp(v, _) => Some(Cow::Borrowed(v.as_slice())),
         _ => None,
     }
 }
 
-fn plan_column(a: &Array) -> Plan {
+fn plan_column(a: &Array) -> Plan<'_> {
     let n = a.len();
     let raw = raw_array_size(a);
+    let mut ints = None;
     let (st, delta) = match a {
         Array::Boolean(v, m) => (
             generic_stats(
@@ -541,7 +548,8 @@ fn plan_column(a: &Array) -> Plan {
         ),
         _ => {
             let dt = a.data_type();
-            let (vals, m) = int_slots(a).expect("non-generic arrays are integers");
+            let m = a.validity();
+            let vals = int_slots(a).expect("non-generic arrays are integers");
             let st = generic_stats(
                 n,
                 (0..n).map(|i| m.get(i).then(|| vals[i])),
@@ -550,6 +558,7 @@ fn plan_column(a: &Array) -> Plan {
             );
             let (mode, base, width) = int_delta_plan(&vals, m);
             let delta_size = 1 + n.div_ceil(8) + 1 + ivarint_len(base) + 1 + packed_len(n, width);
+            ints = Some(vals);
             (st, Some((mode, base, width, delta_size)))
         }
     };
@@ -572,6 +581,7 @@ fn plan_column(a: &Array) -> Plan {
         runs: st.runs,
         dict: st.dict,
         delta: delta.map(|(mode, base, width, _)| (mode, base, width)),
+        ints,
     }
 }
 
@@ -604,7 +614,8 @@ fn encode_column(buf: &mut BytesMut, a: &Array) -> ColumnCodec {
         }
         ColumnCodec::Delta => {
             let (mode, base, width) = plan.delta.expect("delta plan carries its parameters");
-            let (vals, m) = int_slots(a).expect("delta only plans integer columns");
+            let vals = plan.ints.expect("delta only plans integer columns");
+            let m = a.validity();
             buf.put_u8(type_tag(a.data_type()));
             buf.put_slice(m.as_bytes());
             buf.put_u8(mode);

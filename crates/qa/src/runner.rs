@@ -9,6 +9,13 @@
 //! changes reorder additions, so two floats compare equal within one
 //! part in 10⁹ — everything else, including NaN and string bytes,
 //! must match exactly.
+//!
+//! Order normalization would hide a wrong `ORDER BY` whenever no
+//! `LIMIT` cuts the answer, so every answer — the oracle's included —
+//! is first checked as *emitted*: its sequence must be non-decreasing
+//! under the statement's sort keys
+//! ([`gis_types::ordering::is_sorted`], the reference comparison, not
+//! the kernel under test).
 
 use crate::config::{matrix, oracle, EngineConfig, Mode};
 use crate::generator::QueryGen;
@@ -17,10 +24,11 @@ use gis_core::Federation;
 use gis_datagen::{build_fedmart, FedMart, FedMartConfig};
 use gis_net::BreakerConfig;
 use gis_runtime::{Runtime, RuntimeConfig, Session};
-use gis_sql::ast::Query;
+use gis_sql::ast::{Expr, OrderByExpr, Query, Statement};
 use gis_sql::unparse::query_to_sql;
 use gis_types::mem::MemBudget;
-use gis_types::Value;
+use gis_types::ordering::is_sorted;
+use gis_types::{Batch, Schema, SortKey, Value};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -43,6 +51,11 @@ const TIGHT_SPILL_CAP: u64 = 1 << 30;
 /// Outcome of running one query under one configuration: sorted rows
 /// or an error string.
 pub type RunRows = Result<Vec<Vec<Value>>, String>;
+
+/// Error prefix of an answer emitted out of `ORDER BY` sequence. Never
+/// excused: not as an oracle error (the query is fine, the sort is
+/// not), not as a fault or a governor kill.
+const MISORDERED: &str = "ORDER BY sequence violated";
 
 /// One configuration's result for one query.
 #[derive(Debug)]
@@ -105,6 +118,9 @@ pub struct DiffReport {
     /// Memory-starved runs the governor killed with a `MEM` error
     /// (expected under `mem_starved`, not divergences).
     pub mem_kills: u64,
+    /// Queries whose *oracle* answer was emitted out of `ORDER BY`
+    /// sequence (divergences no configuration column can hold).
+    pub oracle_misordered: u64,
     /// `(config name, runs, divergences)` per configuration.
     pub per_config: Vec<(&'static str, u64, u64)>,
     /// Every divergence found, shrunk.
@@ -114,7 +130,7 @@ pub struct DiffReport {
 impl DiffReport {
     /// Total divergences across all configurations.
     pub fn total_divergences(&self) -> u64 {
-        self.per_config.iter().map(|(_, _, d)| d).sum()
+        self.oracle_misordered + self.per_config.iter().map(|(_, _, d)| d).sum::<u64>()
     }
 
     /// Multi-line textual report for CI logs.
@@ -128,6 +144,13 @@ impl DiffReport {
         let _ = writeln!(s, "{:<12} {:>8} {:>12}", "config", "runs", "divergences");
         for (name, runs, div) in &self.per_config {
             let _ = writeln!(s, "{name:<12} {runs:>8} {div:>12}");
+        }
+        if self.oracle_misordered > 0 {
+            let _ = writeln!(
+                s,
+                "{:<12} {:>8} {:>12}",
+                "oracle", self.queries_run, self.oracle_misordered
+            );
         }
         for d in self.divergences.iter().take(10) {
             let _ = writeln!(
@@ -248,45 +271,57 @@ impl Harness {
         &self.fed
     }
 
-    fn run_direct(&self, sql: &str, cfg: &EngineConfig) -> RunRows {
+    fn run_direct(&self, sql: &str, cfg: &EngineConfig, order: &[OrderByExpr]) -> RunRows {
         self.fed
             .query_with(sql, &cfg.optimizer, &cfg.exec)
-            .map(|r| sorted_rows(r.batch.to_rows()))
             .map_err(|e| e.to_string())
+            .and_then(|r| checked_rows(&r.batch, order))
     }
 
-    fn run_cached(&self, sql: &str) -> RunRows {
+    fn run_cached(&self, sql: &str, order: &[OrderByExpr]) -> RunRows {
         // Miss, then hit: both paths must return the same rows.
         let miss = self
             .cached_session
             .query(sql)
-            .map(|r| sorted_rows(r.batch.to_rows()))
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| e.to_string())
+            .and_then(|r| checked_rows(&r.batch, order))?;
         let hit = self
             .cached_session
             .query(sql)
-            .map(|r| sorted_rows(r.batch.to_rows()))
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| e.to_string())
+            .and_then(|r| checked_rows(&r.batch, order))?;
         if let Some(d) = rows_diff(&miss, &hit) {
             return Err(format!("cache hit disagrees with miss: {d}"));
         }
         Ok(hit)
     }
 
-    fn run_budgeted(&self, sql: &str, cfg: &EngineConfig, spill_cap: u64) -> RunRows {
+    fn run_budgeted(
+        &self,
+        sql: &str,
+        cfg: &EngineConfig,
+        spill_cap: u64,
+        order: &[OrderByExpr],
+    ) -> RunRows {
         let budget = MemBudget::standalone(TIGHT_BUDGET, spill_cap);
         self.fed
             .query_with_budget(sql, &cfg.optimizer, &cfg.exec, &budget)
-            .map(|r| sorted_rows(r.batch.to_rows()))
             .map_err(|e| e.to_string())
+            .and_then(|r| checked_rows(&r.batch, order))
     }
 
-    fn run_faulted(&self, sql: &str, cfg: &EngineConfig, seed: u64) -> RunRows {
+    fn run_faulted(
+        &self,
+        sql: &str,
+        cfg: &EngineConfig,
+        seed: u64,
+        order: &[OrderByExpr],
+    ) -> RunRows {
         for (i, link) in self.fed.all_links().iter().enumerate() {
             link.faults()
                 .flaky(seed.wrapping_mul(31).wrapping_add(i as u64), FLAKY_DROP_P);
         }
-        let out = self.run_direct(sql, cfg);
+        let out = self.run_direct(sql, cfg, order);
         for link in self.fed.all_links() {
             link.faults().flaky(0, 0.0);
         }
@@ -297,6 +332,11 @@ impl Harness {
     /// `fault_seed` deterministically seeds the flaky run.
     pub fn run_matrix(&self, sql: &str, fault_seed: u64) -> RunReport {
         let (opt, exec) = oracle();
+        let order = match gis_sql::parse(sql) {
+            Ok(Statement::Query(q)) => q.order_by,
+            _ => Vec::new(),
+        };
+        let order = order.as_slice();
         // The oracle ships raw legacy frames: every matrix run (the
         // federation default is compression on) then differentials
         // the adaptive wire codecs for free, on every query.
@@ -304,8 +344,8 @@ impl Harness {
         let oracle_rows = self
             .fed
             .query_with(sql, &opt, &exec)
-            .map(|r| sorted_rows(r.batch.to_rows()))
-            .map_err(|e| e.to_string());
+            .map_err(|e| e.to_string())
+            .and_then(|r| checked_rows(&r.batch, order));
         self.fed.set_wire_compression(true);
         let runs = self
             .configs
@@ -315,22 +355,22 @@ impl Harness {
                 faulted: cfg.mode == Mode::Faulted,
                 starved: cfg.mode == Mode::MemStarved,
                 outcome: match cfg.mode {
-                    Mode::Direct => self.run_direct(sql, cfg),
-                    Mode::Cached => self.run_cached(sql),
-                    Mode::Faulted => self.run_faulted(sql, cfg, fault_seed),
-                    Mode::MemTight => self.run_budgeted(sql, cfg, TIGHT_SPILL_CAP),
-                    Mode::MemStarved => self.run_budgeted(sql, cfg, 0),
+                    Mode::Direct => self.run_direct(sql, cfg, order),
+                    Mode::Cached => self.run_cached(sql, order),
+                    Mode::Faulted => self.run_faulted(sql, cfg, fault_seed, order),
+                    Mode::MemTight => self.run_budgeted(sql, cfg, TIGHT_SPILL_CAP, order),
+                    Mode::MemStarved => self.run_budgeted(sql, cfg, 0, order),
                     Mode::Compressed => {
                         // The federation default, asserted explicitly:
                         // the oracle above toggled it off and back on.
                         self.fed.set_wire_compression(true);
-                        self.run_direct(sql, cfg)
+                        self.run_direct(sql, cfg, order)
                     }
                     Mode::Analyzed => self
                         .analyzed_fed
                         .query_with(sql, &cfg.optimizer, &cfg.exec)
-                        .map(|r| sorted_rows(r.batch.to_rows()))
-                        .map_err(|e| e.to_string()),
+                        .map_err(|e| e.to_string())
+                        .and_then(|r| checked_rows(&r.batch, order)),
                 },
             })
             .collect();
@@ -345,15 +385,23 @@ impl Harness {
     /// * oracle error → the query is skipped (nothing to compare);
     /// * fault-injected error → clean failure, not a divergence;
     /// * `MEM` error in a starved run → expected governor kill;
-    /// * any other error, or any row mismatch → divergence.
+    /// * an answer out of `ORDER BY` sequence — the oracle's too —,
+    ///   any other error, or any row mismatch → divergence.
     pub fn divergences(report: &RunReport) -> Vec<Divergence> {
-        let Ok(expected) = &report.oracle else {
-            return Vec::new();
+        let expected = match &report.oracle {
+            Ok(rows) => rows,
+            Err(e) if e.starts_with(MISORDERED) => {
+                return vec![Divergence {
+                    config: "oracle",
+                    detail: e.clone(),
+                }]
+            }
+            Err(_) => return Vec::new(),
         };
         let mut out = Vec::new();
         for run in &report.runs {
             match &run.outcome {
-                Err(_) if run.faulted => {}
+                Err(e) if run.faulted && !e.starts_with(MISORDERED) => {}
                 Err(e) if run.starved && e.starts_with("MEM:") => {}
                 Err(e) => out.push(Divergence {
                     config: run.config,
@@ -391,10 +439,12 @@ impl Harness {
             let sql = query_to_sql(&q);
             let run = self.run_matrix(&sql, seed);
             report.queries_run += 1;
-            if run.oracle.is_err() {
+            let divs = Self::divergences(&run);
+            if run.oracle.is_err() && divs.is_empty() {
                 report.oracle_errors += 1;
                 continue;
             }
+            report.oracle_misordered += divs.iter().filter(|d| d.config == "oracle").count() as u64;
             report.fault_errors += run
                 .runs
                 .iter()
@@ -405,7 +455,6 @@ impl Harness {
                 .iter()
                 .filter(|r| r.starved && matches!(&r.outcome, Err(e) if e.starts_with("MEM:")))
                 .count() as u64;
-            let divs = Self::divergences(&run);
             for (name, runs, d) in report.per_config.iter_mut() {
                 *runs += 1;
                 if divs.iter().any(|dv| dv.config == *name) {
@@ -434,6 +483,43 @@ impl Harness {
         }
         report
     }
+}
+
+/// The leading `ORDER BY` keys that name an output column, by ordinal
+/// or by unqualified output name (the binder resolves both against the
+/// output first). A sequence sorted under the whole key list is sorted
+/// under any prefix of it, so stopping at the first key that is an
+/// expression or an input-only column loses strength, not soundness.
+fn output_sort_keys(order: &[OrderByExpr], schema: &Schema) -> Vec<SortKey> {
+    order
+        .iter()
+        .map_while(|o| {
+            let column = match &o.expr {
+                Expr::Literal(Value::Int64(k)) => {
+                    let c = usize::try_from(k.checked_sub(1)?).ok()?;
+                    (c < schema.len()).then_some(c)
+                }
+                Expr::Column {
+                    qualifier: None,
+                    name,
+                } => schema.index_of(None, name).ok(),
+                _ => None,
+            }?;
+            Some(SortKey::new(column, o.asc, o.nulls_first.unwrap_or(true)))
+        })
+        .collect()
+}
+
+/// The emitted answer in canonical (sorted) form — after checking that
+/// it was emitted in `ORDER BY` sequence.
+fn checked_rows(batch: &Batch, order: &[OrderByExpr]) -> RunRows {
+    let keys = output_sort_keys(order, batch.schema());
+    if !is_sorted(batch, &keys) {
+        return Err(format!(
+            "{MISORDERED}: rows are not non-decreasing under {keys:?}"
+        ));
+    }
+    Ok(sorted_rows(batch.to_rows()))
 }
 
 fn sorted_rows(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
@@ -473,5 +559,86 @@ mod tests {
         let d = rows_diff(&a, &b).unwrap();
         assert!(d.contains("row 1"), "{d}");
         assert!(rows_diff(&a, &a[..1]).unwrap().contains("row count"));
+    }
+
+    fn order_by(sql: &str) -> Vec<OrderByExpr> {
+        match gis_sql::parse(sql).unwrap() {
+            Statement::Query(q) => q.order_by,
+            other => panic!("not a query: {other:?}"),
+        }
+    }
+
+    fn answer(rows: &[(i64, Option<f64>)]) -> Batch {
+        use gis_types::{DataType, Field};
+        let rows: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|&(id, r)| vec![Value::Int64(id), r.map_or(Value::Null, Value::Float64)])
+            .collect();
+        Batch::from_rows(
+            Schema::new(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("r", DataType::Float64),
+            ])
+            .into_ref(),
+            &rows,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn sequence_check_sees_what_the_multiset_compare_cannot() {
+        let order = order_by("SELECT id, r FROM t ORDER BY r DESC NULLS LAST, 1");
+        let good = answer(&[
+            (2, Some(f64::NAN)),
+            (1, Some(2.0)),
+            (3, Some(2.0)),
+            (0, None),
+        ]);
+        let swapped = answer(&[
+            (2, Some(f64::NAN)),
+            (3, Some(2.0)),
+            (1, Some(2.0)),
+            (0, None),
+        ]);
+        let rows = checked_rows(&good, &order).unwrap();
+        // Same multiset, wrong sequence: only the new check objects.
+        assert_eq!(sorted_rows(swapped.to_rows()), rows);
+        let err = checked_rows(&swapped, &order).unwrap_err();
+        assert!(err.starts_with(MISORDERED), "{err}");
+        // No ORDER BY, nothing to check.
+        assert!(checked_rows(&swapped, &[]).is_ok());
+    }
+
+    #[test]
+    fn sort_keys_stop_at_the_first_non_output_key() {
+        let schema = answer(&[]).schema().clone();
+        let keys = |sql: &str| output_sort_keys(&order_by(sql), &schema);
+        assert_eq!(
+            keys("SELECT id, r FROM t ORDER BY 2 DESC, id"),
+            vec![SortKey::desc(1), SortKey::asc(0)]
+        );
+        assert_eq!(
+            keys("SELECT id, r FROM t ORDER BY r NULLS LAST, t.id, 1"),
+            vec![SortKey::asc(1).with_nulls_first(false)]
+        );
+        assert_eq!(keys("SELECT id, r FROM t ORDER BY id + 1, r"), vec![]);
+        assert_eq!(keys("SELECT id, r FROM t ORDER BY 3, 0"), vec![]);
+    }
+
+    #[test]
+    fn a_misordered_oracle_is_a_divergence_not_a_skip() {
+        let report = RunReport {
+            sql: String::new(),
+            oracle: Err(format!("{MISORDERED}: test")),
+            runs: Vec::new(),
+        };
+        let divs = Harness::divergences(&report);
+        assert_eq!(divs.len(), 1);
+        assert_eq!(divs[0].config, "oracle");
+        let skipped = RunReport {
+            oracle: Err("ANALYSIS: unknown column".into()),
+            ..report
+        };
+        assert!(Harness::divergences(&skipped).is_empty());
     }
 }

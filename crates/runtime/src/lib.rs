@@ -198,7 +198,7 @@ impl Runtime {
         expo.header(
             "gis_spill_bytes_total",
             "counter",
-            "Bytes hash kernels spilled to disk under memory pressure",
+            "Bytes hash and sort kernels spilled to disk under memory pressure",
         );
         expo.sample("gis_spill_bytes_total", &[], stats.spilled_bytes);
         expo.header(

@@ -61,7 +61,7 @@ pub struct StatsSnapshot {
     pub mem_rejected: u64,
     /// Queries cancelled mid-execution with `ResourceExhausted`.
     pub mem_killed: u64,
-    /// Cumulative bytes hash kernels spilled to disk.
+    /// Cumulative bytes hash and sort kernels spilled to disk.
     pub spilled_bytes: u64,
     /// Spill degradations (kernels that fell back to disk).
     pub spill_events: u64,

@@ -19,9 +19,12 @@
 //!   matches against the in-memory columns, exactly as the chained
 //!   hash tables do.
 //!
-//! Files are written once, replayed with [`SpillFile::for_each`],
-//! and deleted on drop (including half-written files when a writer
-//! is dropped without [`SpillWriter::finish`]).
+//! Files are written once, replayed with [`SpillFile::for_each`] (or
+//! pulled record by record through [`SpillFile::reader`], which is how
+//! the ORDER BY kernel merges its sorted `(row, key prefix)` runs —
+//! those reuse the fixed layout), and deleted on drop (including
+//! half-written files when a writer is dropped without
+//! [`SpillWriter::finish`]).
 
 use gis_types::error::{GisError, Result};
 use std::fs::File;
@@ -193,40 +196,65 @@ impl SpillFile {
         self.fixed
     }
 
+    /// Opens the file for pull-style replay in write order (what a
+    /// k-way merge of sorted runs needs: one cursor per file).
+    pub fn reader(&self) -> Result<SpillReader<'_>> {
+        let file = File::open(&self.path).map_err(|e| io_err("open", &self.path, e))?;
+        Ok(SpillReader {
+            file: self,
+            input: BufReader::new(file),
+            remaining: self.records,
+        })
+    }
+
     /// Streams every record, in write order, through `f`. Replay is
     /// buffered; nothing is materialized.
     pub fn for_each(&self, mut f: impl FnMut(SpillRecord) -> Result<()>) -> Result<()> {
-        let file = File::open(&self.path).map_err(|e| io_err("open", &self.path, e))?;
-        let mut input = BufReader::new(file);
-        let record_len = if self.fixed {
-            FIXED_RECORD
-        } else {
-            HASHED_RECORD
-        };
-        let mut buf = [0u8; FIXED_RECORD];
-        for _ in 0..self.records {
-            input
-                .read_exact(&mut buf[..record_len])
-                .map_err(|e| io_err("read", &self.path, e))?;
-            let row = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-            let record = if self.fixed {
-                let mut key = [0u8; 16];
-                key.copy_from_slice(&buf[4..20]);
-                SpillRecord::Fixed {
-                    row,
-                    key: u128::from_le_bytes(key),
-                }
-            } else {
-                let mut hash = [0u8; 8];
-                hash.copy_from_slice(&buf[4..12]);
-                SpillRecord::Hashed {
-                    row,
-                    hash: u64::from_le_bytes(hash),
-                }
-            };
+        let mut reader = self.reader()?;
+        while let Some(record) = reader.next_record()? {
             f(record)?;
         }
         Ok(())
+    }
+}
+
+/// A buffered cursor over a sealed [`SpillFile`].
+#[derive(Debug)]
+pub struct SpillReader<'a> {
+    file: &'a SpillFile,
+    input: BufReader<File>,
+    remaining: u64,
+}
+
+impl SpillReader<'_> {
+    /// The next record in write order, `None` past the last one.
+    pub fn next_record(&mut self) -> Result<Option<SpillRecord>> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        self.remaining -= 1;
+        let fixed = self.file.fixed;
+        let record_len = if fixed { FIXED_RECORD } else { HASHED_RECORD };
+        let mut buf = [0u8; FIXED_RECORD];
+        self.input
+            .read_exact(&mut buf[..record_len])
+            .map_err(|e| io_err("read", &self.file.path, e))?;
+        let row = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+        Ok(Some(if fixed {
+            let mut key = [0u8; 16];
+            key.copy_from_slice(&buf[4..20]);
+            SpillRecord::Fixed {
+                row,
+                key: u128::from_le_bytes(key),
+            }
+        } else {
+            let mut hash = [0u8; 8];
+            hash.copy_from_slice(&buf[4..12]);
+            SpillRecord::Hashed {
+                row,
+                hash: u64::from_le_bytes(hash),
+            }
+        }))
     }
 }
 
@@ -291,6 +319,30 @@ mod tests {
                 hash: 0xdead_beef_cafe_f00d
             }]
         );
+    }
+
+    #[test]
+    fn readers_pull_independently() {
+        let write = |rows: &[u32]| {
+            let mut w = SpillWriter::create(None, true).unwrap();
+            for &row in rows {
+                w.push(SpillRecord::Fixed {
+                    row,
+                    key: u128::from(row) << 64,
+                })
+                .unwrap();
+            }
+            w.finish().unwrap()
+        };
+        let (a, b) = (write(&[1, 3]), write(&[2]));
+        let (mut ra, mut rb) = (a.reader().unwrap(), b.reader().unwrap());
+        let row = |r: Option<SpillRecord>| r.map(|r| r.row());
+        assert_eq!(row(ra.next_record().unwrap()), Some(1));
+        assert_eq!(row(rb.next_record().unwrap()), Some(2));
+        assert_eq!(row(rb.next_record().unwrap()), None);
+        assert_eq!(row(ra.next_record().unwrap()), Some(3));
+        assert_eq!(row(ra.next_record().unwrap()), None);
+        assert_eq!(row(ra.next_record().unwrap()), None, "stays at the end");
     }
 
     #[test]

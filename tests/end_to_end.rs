@@ -300,3 +300,31 @@ fn order_by_with_nulls_and_offsets() {
         assert!(w[0] >= w[1], "not descending: {balances:?}");
     }
 }
+
+/// `orders` lives on a source that cannot sort, so the mediator's Sort
+/// takes the Limit's skip + fetch as its own bound: the answers must be
+/// the same slices of the full ORDER BY, including the empty ones (a
+/// zero fetch, a skip past the last row).
+#[test]
+fn limit_folded_into_the_mediator_sort_slices_the_full_order() {
+    let fm = fed();
+    let f = &fm.federation;
+    const ORDERED: &str = "SELECT order_id, amount FROM orders ORDER BY amount DESC, order_id";
+    let full = f.query(ORDERED).unwrap().batch.to_rows();
+    assert_eq!(full.len(), fm.sizes.orders);
+    for (limit, offset) in [(20, 0), (5, 3), (0, 0), (0, 7), (5, 5000), (5000, 990)] {
+        let sql = format!("{ORDERED} LIMIT {limit} OFFSET {offset}");
+        let lo = offset.min(full.len());
+        let hi = (offset + limit).min(full.len());
+        assert_eq!(
+            f.query(&sql).unwrap().batch.to_rows(),
+            full[lo..hi],
+            "{sql}"
+        );
+    }
+    let plan = f
+        .query(&format!("EXPLAIN {ORDERED} LIMIT 5 OFFSET 3"))
+        .unwrap();
+    let text = format!("{:?}", plan.batch.to_rows());
+    assert!(text.contains("Sort: #1 DESC, #0 ASC fetch=8"), "{text}");
+}

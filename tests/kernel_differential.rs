@@ -13,15 +13,26 @@
 //! kernel semantics ("any NaN equals any NaN") and the reference's
 //! total-order equality agree on that payload, so the oracle stays
 //! valid while NaN grouping is still exercised.
+//!
+//! The sort kernel gets the same treatment against the
+//! `Value`-per-comparison reference `ordering::sorted_indices`: the
+//! index vector itself is compared, which pins stability, NULL
+//! placement and the float total order (`-NaN < -inf < -0.0 < 0.0 <
+//! inf < NaN`) together with top-k, spilled runs and the source-side
+//! `sort` + `limit` scan.
 
-use gis::adapters::AggFunc;
+use gis::adapters::{AggFunc, RelationalAdapter, SortSpec, SourceAdapter, SourceRequest};
 use gis::core::exec::aggregate::{distinct, distinct_ref, hash_aggregate, hash_aggregate_ref};
 use gis::core::exec::join::{hash_join, hash_join_ref};
 use gis::core::exec::keys::{KernelGov, KernelOptions};
+use gis::core::exec::physical::PhysicalSortKey;
+use gis::core::exec::sort::sort_batch;
 use gis::core::expr::ScalarExpr;
 use gis::core::plan::logical::{AggregateExpr, JoinNode};
 use gis::sql::ast::JoinKind;
-use gis::types::{Batch, DataType, Field, MemBudget, Schema, SchemaRef, Value};
+use gis::storage::RowStore;
+use gis::types::ordering::{sort_indices, sorted_indices};
+use gis::types::{Batch, DataType, Field, MemBudget, Schema, SchemaRef, SortKey, Value};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -327,6 +338,188 @@ fn check_distinct(input: &Batch) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Sort-key values: unlike the grouping kernels the sort has one
+/// pinned order for *every* float payload, so both NaN signs, both
+/// zeros and both infinities are drawn; integers straddle zero (the
+/// sign-flip), strings share prefixes up to and past the 16-byte key
+/// prefix, include the empty string and an embedded NUL.
+fn sort_value(kind: KeyKind, v: i64) -> Value {
+    match kind {
+        KeyKind::Float64 => Value::Float64(match v % 9 {
+            0 => f64::NAN,
+            1 => -f64::NAN,
+            2 => 0.0,
+            3 => -0.0,
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            _ => (v - 7) as f64 / 2.0,
+        }),
+        KeyKind::Utf8Short => Value::Utf8(
+            match v % 6 {
+                0 => "",
+                1 => "a",
+                2 => "ab",
+                3 => "ab\0",
+                4 => "b",
+                _ => "ab\u{1}",
+            }
+            .into(),
+        ),
+        KeyKind::Utf8Long => Value::Utf8(match v % 4 {
+            0 => "sixteen-byte-pfx".into(),
+            _ => format!("sixteen-byte-pfx{}", "z".repeat((v % 4) as usize - 1)),
+        }),
+        KeyKind::Int64 => Value::Int64(if v == 0 { i64::MIN } else { v - 4 }),
+        KeyKind::Int32 => Value::Int32(if v == 0 { i32::MAX } else { v as i32 - 4 }),
+        other => other.value(v),
+    }
+}
+
+/// One drawn ORDER BY key: kind, descending?, NULLS LAST?, all-NULL
+/// column?
+type KeyDraw = (usize, bool, bool, u8);
+
+fn key_draws(
+    keys: impl Into<proptest::collection::SizeRange>,
+) -> impl Strategy<Value = Vec<KeyDraw>> {
+    pvec(
+        (
+            0usize..8,
+            proptest::arbitrary::any::<bool>(),
+            proptest::arbitrary::any::<bool>(),
+            proptest::arbitrary::any::<u8>(),
+        ),
+        keys,
+    )
+}
+
+/// The batch (key columns, then a row-id payload) and its sort keys.
+fn build_sort_case(draws: &[KeyDraw], raw: &[RawCol]) -> (Batch, Vec<SortKey>) {
+    let n = raw.iter().map(Vec::len).min().unwrap_or(0);
+    let mut fields: Vec<Field> = draws
+        .iter()
+        .enumerate()
+        .map(|(i, d)| Field::new(format!("k{i}"), KINDS[d.0].data_type()).with_nullable(true))
+        .collect();
+    fields.push(Field::new("id", DataType::Int64));
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|r| {
+            let mut row: Vec<Value> = draws
+                .iter()
+                .zip(raw)
+                .map(|(d, col)| {
+                    let (null, v) = col[r];
+                    // ~1 column in 16 is NULL throughout.
+                    if null || d.3 % 16 == 0 {
+                        Value::Null
+                    } else {
+                        sort_value(KINDS[d.0], v)
+                    }
+                })
+                .collect();
+            row.push(Value::Int64(r as i64));
+            row
+        })
+        .collect();
+    let batch = Batch::from_rows(Schema::new(fields).into_ref(), &rows).expect("batch");
+    let keys = draws
+        .iter()
+        .enumerate()
+        .map(|(i, d)| SortKey::new(i, !d.1, !d.2))
+        .collect();
+    (batch, keys)
+}
+
+fn physical_keys(keys: &[SortKey]) -> Vec<PhysicalSortKey> {
+    keys.iter()
+        .map(|k| PhysicalSortKey {
+            expr: ScalarExpr::col(k.column),
+            asc: k.order == gis::types::SortOrder::Ascending,
+            nulls_first: k.nulls_first,
+        })
+        .collect()
+}
+
+/// No cut, and cuts at the `k` values around the row count where
+/// top-k arithmetic can go wrong.
+fn fetches(n: usize) -> Vec<Option<usize>> {
+    let mut cuts: Vec<Option<usize>> = [0, 1, n.saturating_sub(1), n, n + 5].map(Some).into();
+    cuts.push(None);
+    cuts
+}
+
+/// Kernel index vector == oracle; top-k == prefix of the full sort;
+/// the governed mediator operator agrees in memory and spilled.
+fn check_sort(batch: &Batch, keys: &[SortKey], min_runs: usize) -> Result<(), TestCaseError> {
+    let n = batch.num_rows();
+    let want = sorted_indices(batch, keys);
+    let got = sort_indices(batch.columns(), n, keys, None);
+    prop_assert_eq!(&got, &want, "full sort, keys {:?}", keys);
+    let phys = physical_keys(keys);
+    for fetch in fetches(n) {
+        let k = fetch.unwrap_or(n).min(n);
+        let top = sort_indices(batch.columns(), n, keys, fetch);
+        prop_assert_eq!(&top[..], &want[..k], "top-{:?}, keys {:?}", fetch, keys);
+        // Rows, not batches: `Value` equality is total (NaN == NaN).
+        let expected = batch.take(&want[..k]).to_rows();
+        let (mem, _) = sort_batch(batch, &phys, fetch, &KernelGov::unbounded()).expect("sort");
+        prop_assert_eq!(
+            mem.to_rows(),
+            expected.clone(),
+            "mediator sort, fetch {:?}",
+            fetch
+        );
+        let budget = MemBudget::standalone(1, 1 << 30);
+        let gov = KernelGov::new(&budget, None, 0);
+        let (spilled, stats) = sort_batch(batch, &phys, fetch, &gov).expect("spilled sort");
+        prop_assert_eq!(
+            spilled.to_rows(),
+            expected,
+            "spilled sort, fetch {:?}",
+            fetch
+        );
+        if n > 0 {
+            prop_assert!(stats.spill_parts >= min_runs, "runs: {}", stats.spill_parts);
+            // `fetch = 0` writes its runs empty.
+            prop_assert_eq!(stats.spill_bytes > 0, k > 0);
+        }
+        prop_assert_eq!(budget.used(), 0, "spilled sort leaked a reservation");
+    }
+    Ok(())
+}
+
+/// The relational source's `sort` + `limit` scan returns what the
+/// mediator's Sort + Limit would over the same rows.
+fn check_source_sort(batch: &Batch, keys: &[SortKey]) -> Result<(), TestCaseError> {
+    let source = RelationalAdapter::new("rel");
+    source.add_table(RowStore::new("t", batch.schema().clone(), None).expect("row store"));
+    source.load("t", batch.to_rows()).expect("load");
+    let sort: Vec<SortSpec> = keys
+        .iter()
+        .map(|k| SortSpec {
+            column: k.column,
+            asc: k.order == gis::types::SortOrder::Ascending,
+            nulls_first: k.nulls_first,
+        })
+        .collect();
+    let phys = physical_keys(keys);
+    let n = batch.num_rows();
+    for fetch in fetches(n) {
+        let request = SourceRequest::Scan {
+            table: "t".into(),
+            predicates: vec![],
+            projection: vec![],
+            sort: sort.clone(),
+            limit: fetch.map(|k| k as u64),
+        };
+        let parts = source.execute(&request).expect("source scan");
+        prop_assert_eq!(parts.len(), 1);
+        let (want, _) = sort_batch(batch, &phys, fetch, &KernelGov::unbounded()).expect("sort");
+        prop_assert_eq!(parts[0].to_rows(), want.to_rows(), "limit {:?}", fetch);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -377,5 +570,26 @@ proptest! {
         let kinds = [KINDS[ka], KINDS[kb]];
         let input = build_batch(&kinds, &raw[..2], &raw[2]);
         check_distinct(&input)?;
+    }
+
+    #[test]
+    fn sort_matches_reference(
+        draws in key_draws(1..4usize),
+        raw in side(2, 12, 0..70usize),
+    ) {
+        let (batch, keys) = build_sort_case(&draws, &raw);
+        check_sort(&batch, &keys, 1)?;
+        check_source_sort(&batch, &keys)?;
+    }
+
+    // Long enough for several 256-row runs, domain small enough that
+    // equal keys straddle every run boundary.
+    #[test]
+    fn spilled_sort_merges_several_runs(
+        draws in key_draws(1..3usize),
+        raw in side(1, 9, 600..1100usize),
+    ) {
+        let (batch, keys) = build_sort_case(&draws, &raw);
+        check_sort(&batch, &keys, 3)?;
     }
 }

@@ -1,5 +1,5 @@
 //! The memory governor end to end: per-query budgets spilling hash
-//! kernels to disk with bit-identical answers, hard-limit kills that
+//! and sort kernels to disk with bit-identical answers, hard-limit kills that
 //! leave concurrent queries untouched, pool-level admission control,
 //! and the governor's observability surface (EXPLAIN ANALYZE spans,
 //! runtime stats, metrics exposition).
@@ -65,6 +65,61 @@ fn spilling_runtime_matches_unbounded_results() {
         text.contains("gis_queries_total{state=\"mem_killed\"} 0"),
         "{text}"
     );
+}
+
+/// ORDER BY is governed like the hash kernels. Its sort buffer used to
+/// be one forced reservation (40 bytes a row here: 40 000 B), which a
+/// 24 KiB pool refused — `MEM` — although spilling was on. Now the sort
+/// degrades to 8 KiB runs on disk and merges them: same rows in the
+/// same sequence, no kill, and nothing left in the pool or on disk.
+#[test]
+fn order_by_over_a_small_pool_spills_instead_of_dying() {
+    const SORTED: &str = "SELECT order_id, cust_id, amount FROM orders \
+         ORDER BY amount DESC, order_id";
+    let expected = fedmart().federation.query(SORTED).unwrap().batch.to_rows();
+    assert_eq!(expected.len(), 1000);
+
+    let spill_dir = std::env::temp_dir().join(format!("gis-sort-spill-{}", std::process::id()));
+    let runtime = Runtime::new(
+        Arc::new(fedmart().federation),
+        RuntimeConfig::default()
+            .with_query_mem_limit(8 * 1024)
+            .with_total_mem_pool(24 * 1024)
+            .with_spill_dir(Some(spill_dir.clone()))
+            // Resident cache entries hold pool bytes by design.
+            .with_plan_cache_capacity(0)
+            .with_result_cache_bytes(0),
+    );
+    let session = runtime.session();
+    for sql in [SORTED.to_string(), format!("{SORTED} LIMIT 7 OFFSET 3")] {
+        let got = session.query(&sql).unwrap().batch.to_rows();
+        let want = if sql.ends_with("OFFSET 3") {
+            &expected[3..10]
+        } else {
+            &expected[..]
+        };
+        assert_eq!(got, want, "{sql}");
+    }
+
+    let stats = runtime.stats();
+    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.mem_killed + stats.mem_rejected, 0);
+    assert_eq!(stats.spill_events, 2, "one spilled sort per query");
+    assert!(stats.spilled_bytes > 0);
+    assert!(
+        stats.mem_pool_peak <= 24 * 1024,
+        "peak {}",
+        stats.mem_pool_peak
+    );
+    assert_eq!(stats.mem_pool_used, 0, "pool drained");
+    let left_over = std::fs::read_dir(&spill_dir).map_or(0, |d| d.count());
+    assert_eq!(left_over, 0, "run files deleted");
+    let _ = std::fs::remove_dir(&spill_dir);
+
+    let r = session.query(&format!("EXPLAIN ANALYZE {SORTED}")).unwrap();
+    let text = format!("{:?}", r.batch.to_rows());
+    assert!(text.contains("kernel[sort-spill]: partitions=4"), "{text}");
+    assert!(text.contains("spill[kernel]: parts=4"), "{text}");
 }
 
 /// With spilling disabled, the same budget kills the query with a

@@ -13,7 +13,7 @@ fn corpus_replays_clean() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     let cases = corpus::load_dir(&dir).expect("corpus dir");
     assert!(
-        cases.len() >= 6,
+        cases.len() >= 7,
         "expected the checked-in corpus, found {} cases",
         cases.len()
     );

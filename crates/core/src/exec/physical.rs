@@ -891,28 +891,31 @@ fn execute_pair(
     if !ctx.options.parallel_fetch {
         return Ok((left.execute_traced(ctx)?, right.execute_traced(ctx)?));
     }
-    crossbeam::thread::scope(|s| {
-        let lh = s.spawn(|_| left.execute_traced(ctx));
+    std::thread::scope(|s| {
+        let lh = s.spawn(|| left.execute_traced(ctx));
         let r = right.execute_traced(ctx);
         let l = lh.join().map_err(fetch_thread_panicked)?;
         Ok((l?, r?))
     })
-    .map_err(fetch_thread_panicked)?
 }
 
 /// Executes many subplans on one thread each.
 fn execute_all_parallel(plans: &[PhysicalPlan], ctx: &ExecContext<'_>) -> Result<Vec<TracedBatch>> {
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = plans
             .iter()
-            .map(|p| s.spawn(move |_| p.execute_traced(ctx)))
+            .map(|p| s.spawn(move || p.execute_traced(ctx)))
             .collect();
-        handles
+        // Join every handle before reading any outcome: the scope
+        // re-raises the panic of a thread it had to join itself, so
+        // stopping at the first failure would turn a second panicked
+        // branch into a mediator panic.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
             .into_iter()
-            .map(|h| h.join().map_err(fetch_thread_panicked)?)
-            .collect::<Result<Vec<_>>>()
+            .map(|j| j.map_err(fetch_thread_panicked)?)
+            .collect()
     })
-    .map_err(fetch_thread_panicked)?
 }
 
 /// `Sort: amount DESC, order_id ASC fetch=20` — the head line of a

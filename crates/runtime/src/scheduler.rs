@@ -12,14 +12,13 @@ use crate::result_cache::{ResultCache, ResultKey};
 use crate::slow_log::{SlowLog, SlowQueryEntry};
 use crate::stats::RuntimeStats;
 use crate::RuntimeConfig;
-use crossbeam::channel;
 use gis_core::{ExecOptions, Federation, OptimizerOptions, QueryMetrics, QueryResult};
 use gis_sql::ast::Statement;
 use gis_types::mem::{MemBudget, MemPool};
 use gis_types::{GisError, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Which lane a session's queries enter the queue through.
@@ -42,7 +41,7 @@ pub(crate) struct Job {
     pub deadline: Option<Instant>,
     pub enqueued: Instant,
     pub query_id: u64,
-    pub reply: channel::Sender<Result<QueryResult>>,
+    pub reply: mpsc::SyncSender<Result<QueryResult>>,
 }
 
 struct QueueInner {
@@ -355,8 +354,8 @@ fn plan_fingerprint(key: &PlanKey) -> u64 {
 mod tests {
     use super::*;
 
-    fn dummy_job(id: u64) -> (Job, channel::Receiver<Result<QueryResult>>) {
-        let (tx, rx) = channel::bounded(1);
+    fn dummy_job(id: u64) -> (Job, mpsc::Receiver<Result<QueryResult>>) {
+        let (tx, rx) = mpsc::sync_channel(1);
         (
             Job {
                 sql: "SELECT 1".into(),

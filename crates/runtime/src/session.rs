@@ -2,10 +2,9 @@
 
 use crate::scheduler::{Job, Priority, Shared};
 use crate::stats::RuntimeStats;
-use crossbeam::channel;
 use gis_core::{ExecOptions, OptimizerOptions, QueryResult};
 use gis_types::{GisError, Result};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A client handle onto a [`crate::Runtime`].
@@ -121,7 +120,7 @@ impl Session {
             ));
         }
         let query_id = self.shared.federation.next_query_id();
-        let (reply, rx) = channel::bounded(1);
+        let (reply, rx) = mpsc::sync_channel(1);
         let job = Job {
             sql: sql.to_string(),
             optimizer: self.optimizer,
@@ -148,7 +147,7 @@ impl Session {
 
 /// A submitted query that has not been waited on yet.
 pub struct PendingQuery {
-    rx: channel::Receiver<Result<QueryResult>>,
+    rx: mpsc::Receiver<Result<QueryResult>>,
     query_id: u64,
 }
 

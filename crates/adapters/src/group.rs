@@ -113,11 +113,13 @@ impl SourceGroup {
         self.replicas[idx].link().conditions()
     }
 
-    /// Executes `request` with failover across replicas in preference
+    /// Ships `request` with failover across replicas in preference
     /// order. Availability failures (`NETWORK`, `UNAVAILABLE`) move to
     /// the next replica; anything else returns immediately. When every
     /// replica fails, the last availability error is returned.
-    pub fn execute_with_failover(
+    /// `traced` and `deadline` are as for [`RemoteSource::fetch`]; the
+    /// deadline also stops the walk over replicas.
+    pub fn fetch(
         &self,
         request: &SourceRequest,
         traced: bool,
@@ -127,7 +129,7 @@ impl SourceGroup {
         let mut last_err: Option<GisError> = None;
         for idx in self.preference_order() {
             let replica = &self.replicas[idx];
-            match replica.execute_with_deadline(request, traced, deadline) {
+            match replica.fetch(request, traced, deadline) {
                 Ok((batches, span)) => {
                     // Failover events ride on the winning replica's
                     // recv span, so EXPLAIN ANALYZE names the replicas
@@ -159,26 +161,17 @@ impl SourceGroup {
         Err(last_err.unwrap_or_else(|| GisError::Internal("source group has no replicas".into())))
     }
 
-    /// Executes and concatenates all response chunks.
-    pub fn execute_all(
+    /// [`SourceGroup::fetch`], with the response chunks concatenated
+    /// into one batch of `schema`.
+    pub fn fetch_all(
         &self,
         request: &SourceRequest,
         schema: SchemaRef,
+        traced: bool,
         deadline: Option<Instant>,
-    ) -> Result<Batch> {
-        let (batches, _) = self.execute_with_failover(request, false, deadline)?;
-        Batch::concat(schema, &batches)
-    }
-
-    /// Traced variant of [`SourceGroup::execute_all`].
-    pub fn execute_all_traced(
-        &self,
-        request: &SourceRequest,
-        schema: SchemaRef,
-        deadline: Option<Instant>,
-    ) -> Result<(Batch, Span)> {
-        let (batches, span) = self.execute_with_failover(request, true, deadline)?;
-        Ok((Batch::concat(schema, &batches)?, span.unwrap_or_default()))
+    ) -> Result<(Batch, Option<Span>)> {
+        let (batches, span) = self.fetch(request, traced, deadline)?;
+        Ok((Batch::concat(schema, &batches)?, span))
     }
 }
 
@@ -248,10 +241,23 @@ mod tests {
         );
         assert_eq!(g.best_conditions(), NetworkConditions::lan());
         let schema = g.adapter().table_schema("customers").unwrap();
-        let batch = g.execute_all(&scan_all(), schema, None).unwrap();
+        let (batch, span) = g.fetch_all(&scan_all(), schema, false, None).unwrap();
+        assert!(span.is_none(), "an untraced fetch builds no span");
         assert_eq!(batch.num_rows(), 50);
         assert_eq!(g.replicas()[0].link().metrics().messages(), 0);
         assert!(g.replicas()[1].link().metrics().messages() > 0);
+    }
+
+    #[test]
+    fn fetch_all_concatenates() {
+        let link = Link::new("crm", NetworkConditions::instant(), SimClock::new());
+        let g = SourceGroup::new(RemoteSource::new(adapter(), link).with_chunk_rows(20));
+        let schema = g.adapter().table_schema("customers").unwrap();
+        let (chunks, _) = g.fetch(&scan_all(), false, None).unwrap();
+        assert_eq!(chunks.len(), 3, "50 rows in chunks of 20");
+        let (batch, _) = g.fetch_all(&scan_all(), schema, false, None).unwrap();
+        assert_eq!(batch.num_rows(), 50);
+        assert_eq!(batch.row(49).value(0), Value::Int64(49));
     }
 
     #[test]
@@ -263,7 +269,8 @@ mod tests {
         );
         g.replicas()[0].link().faults().partition();
         let schema = g.adapter().table_schema("customers").unwrap();
-        let (batch, span) = g.execute_all_traced(&scan_all(), schema, None).unwrap();
+        let (batch, span) = g.fetch_all(&scan_all(), schema, true, None).unwrap();
+        let span = span.expect("a traced fetch reports a recv span");
         assert_eq!(batch.num_rows(), 50, "answered by the surviving replica");
         assert!(span.find("event:failover[crm NETWORK]").is_some());
         assert_eq!(g.replicas()[0].link().metrics().failures(), 3);
@@ -283,13 +290,14 @@ mod tests {
         g.replicas()[0].link().faults().partition();
         // Trip the breaker on the fast replica.
         let schema = g.adapter().table_schema("customers").unwrap();
-        g.execute_all(&scan_all(), schema.clone(), None).unwrap();
+        g.fetch_all(&scan_all(), schema.clone(), false, None)
+            .unwrap();
         assert_eq!(g.replicas()[0].link().breaker_state(), BreakerState::Open);
         // Now the wan replica is preferred — the partitioned lan one
         // is not even probed (zero additional failures).
         let before = g.replicas()[0].link().metrics().failures();
         assert_eq!(g.best_conditions(), NetworkConditions::wan());
-        g.execute_all(&scan_all(), schema, None).unwrap();
+        g.fetch_all(&scan_all(), schema, false, None).unwrap();
         assert_eq!(g.replicas()[0].link().metrics().failures(), before);
     }
 
@@ -304,7 +312,7 @@ mod tests {
             r.link().faults().partition();
         }
         let schema = g.adapter().table_schema("customers").unwrap();
-        let err = g.execute_all(&scan_all(), schema, None).unwrap_err();
+        let err = g.fetch_all(&scan_all(), schema, false, None).unwrap_err();
         assert!(is_availability_error(&err));
         assert_eq!(g.replicas()[0].link().metrics().failures(), 3);
         assert_eq!(g.replicas()[1].link().metrics().failures(), 3);
@@ -325,7 +333,7 @@ mod tests {
             limit: None,
         };
         let schema = g.adapter().table_schema("customers").unwrap();
-        let err = g.execute_all(&bad, schema, None).unwrap_err();
+        let err = g.fetch_all(&bad, schema, false, None).unwrap_err();
         assert!(!is_availability_error(&err));
         // The second replica never saw the request.
         assert_eq!(g.replicas()[1].link().metrics().messages(), 0);

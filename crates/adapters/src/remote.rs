@@ -1,7 +1,7 @@
 //! A source behind a metered network link.
 //!
 //! `RemoteSource` is what the mediator actually holds: an adapter
-//! plus the [`Link`] to it. Every `execute` call:
+//! plus the [`Link`] to it. Every [`RemoteSource::fetch`] call:
 //!
 //! 1. serializes the request (counted as request bytes + one message),
 //! 2. runs the adapter *at the source*,
@@ -130,35 +130,15 @@ impl RemoteSource {
 
     /// Ships `request`, executes it at the source, and returns the
     /// response batches, accounting all traffic on the link.
-    pub fn execute(&self, request: &SourceRequest) -> Result<Vec<Batch>> {
-        Ok(self.execute_inner(request, false, None)?.0)
-    }
-
-    /// Like [`RemoteSource::execute`], but also returns a `recv` span
-    /// for the exchange: bytes and messages on the wire, rows
-    /// received, host-side wall time, and — as a child — the span the
-    /// *source* reported for its own work. The source span travels
-    /// back as one extra wire frame, so tracing's network cost is
-    /// metered honestly rather than conjured for free.
-    pub fn execute_traced(&self, request: &SourceRequest) -> Result<(Vec<Batch>, Span)> {
-        let (batches, span) = self.execute_inner(request, true, None)?;
-        // `execute_inner(_, true, _)` always produces a span.
-        Ok((batches, span.unwrap_or_default()))
-    }
-
-    /// Full-control entry point used by the executor: `traced` asks
-    /// for a `recv` span, `deadline` bounds retrying — once it passes,
-    /// no further attempt is made and the last error is returned.
-    pub fn execute_with_deadline(
-        &self,
-        request: &SourceRequest,
-        traced: bool,
-        deadline: Option<Instant>,
-    ) -> Result<(Vec<Batch>, Option<Span>)> {
-        self.execute_inner(request, traced, deadline)
-    }
-
-    fn execute_inner(
+    ///
+    /// `traced` asks for a `recv` span for the exchange: bytes and
+    /// messages on the wire, rows received, host-side wall time, and —
+    /// as a child — the span the *source* reported for its own work.
+    /// The source span travels back as one extra wire frame, so
+    /// tracing's network cost is metered honestly rather than conjured
+    /// for free. `deadline` bounds retrying — once it passes, no
+    /// further attempt is made and the last error is returned.
+    pub fn fetch(
         &self,
         request: &SourceRequest,
         traced: bool,
@@ -226,12 +206,17 @@ impl RemoteSource {
         self.link.transfer(frame.len())?;
         // The source decodes it (full wire path).
         let decoded = decode_request(frame)?;
-        let (results, source_span) = if traced {
-            let (results, span) = self.adapter.execute_traced(&decoded)?;
-            (results, Some(span))
-        } else {
-            (self.adapter.execute(&decoded)?, None)
-        };
+        // When tracing, the source describes its own work in a
+        // `remote:` span that ships back over the wire — the mediator
+        // never guesses.
+        let source_started = traced.then(Instant::now);
+        let results = self.adapter.execute(&decoded)?;
+        let source_span = source_started.map(|t| {
+            let rows: u64 = results.iter().map(|b| b.num_rows() as u64).sum();
+            Span::leaf(format!("remote:{}", decoded.label()))
+                .with_rows_out(rows)
+                .with_wall_us(t.elapsed().as_micros() as u64)
+        });
         // Ship results back in chunks, one scratch buffer for the
         // whole stream (split().freeze() hands each frame off without
         // reallocating the encoder's working space). The link is
@@ -294,22 +279,6 @@ impl RemoteSource {
             None => None,
         };
         Ok((out, span))
-    }
-
-    /// Convenience: execute and concatenate all chunks.
-    pub fn execute_all(&self, request: &SourceRequest, schema: SchemaRef) -> Result<Batch> {
-        let batches = self.execute(request)?;
-        Batch::concat(schema, &batches)
-    }
-
-    /// Traced variant of [`RemoteSource::execute_all`].
-    pub fn execute_all_traced(
-        &self,
-        request: &SourceRequest,
-        schema: SchemaRef,
-    ) -> Result<(Batch, Span)> {
-        let (batches, span) = self.execute_traced(request)?;
-        Ok((Batch::concat(schema, &batches)?, span))
     }
 
     /// Fetches a table's export schema *across the link* (used at
@@ -400,7 +369,8 @@ mod tests {
     fn execute_chunks_and_meters() {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
-        let batches = r.execute(&scan_all()).unwrap();
+        let (batches, span) = r.fetch(&scan_all(), false, None).unwrap();
+        assert!(span.is_none(), "an untraced fetch builds no span");
         // 100 rows in chunks of 30 => 4 response messages
         assert_eq!(batches.len(), 4);
         let total: usize = batches.iter().map(Batch::num_rows).sum();
@@ -421,7 +391,7 @@ mod tests {
             bandwidth_bytes_per_sec: 0,
         };
         let r = remote(conditions, clock.clone());
-        r.execute(&scan_all()).unwrap();
+        r.fetch(&scan_all(), false, None).unwrap();
         // 5 messages x 1ms
         assert_eq!(clock.now_us(), 5_000);
     }
@@ -431,7 +401,7 @@ mod tests {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
         r.link().faults().fail_next(2);
-        let batches = r.execute(&scan_all()).unwrap();
+        let (batches, _) = r.fetch(&scan_all(), false, None).unwrap();
         assert_eq!(batches.iter().map(Batch::num_rows).sum::<usize>(), 100);
         assert_eq!(r.link().metrics().failures(), 2);
     }
@@ -441,7 +411,7 @@ mod tests {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
         r.link().faults().partition();
-        let err = r.execute(&scan_all()).unwrap_err();
+        let err = r.fetch(&scan_all(), false, None).unwrap_err();
         assert!(err.is_retryable());
         assert_eq!(r.link().metrics().failures(), 3); // 1 + 2 retries
     }
@@ -461,7 +431,7 @@ mod tests {
             sort: vec![],
             limit: None,
         };
-        let batches = r.execute(&req).unwrap();
+        let (batches, _) = r.fetch(&req, false, None).unwrap();
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].num_rows(), 0);
         assert_eq!(r.link().metrics().messages(), 2);
@@ -471,7 +441,8 @@ mod tests {
     fn traced_execute_meters_the_span_frame_and_reports_source_work() {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
-        let (batches, span) = r.execute_traced(&scan_all()).unwrap();
+        let (batches, span) = r.fetch(&scan_all(), true, None).unwrap();
+        let span = span.expect("a traced fetch reports a recv span");
         assert_eq!(batches.iter().map(Batch::num_rows).sum::<usize>(), 100);
         // 1 request + 4 responses + 1 span frame
         assert_eq!(r.link().metrics().messages(), 6);
@@ -494,7 +465,7 @@ mod tests {
         let clock = SimClock::new();
         let raw =
             remote(NetworkConditions::instant(), clock.clone()).with_compression_flag(off.clone());
-        let raw_batches = raw.execute(&scan_all()).unwrap();
+        let (raw_batches, _) = raw.fetch(&scan_all(), false, None).unwrap();
         let raw_bytes = raw.link().metrics().bytes();
         assert_eq!(
             raw.link().metrics().raw_bytes(),
@@ -507,7 +478,7 @@ mod tests {
             compressed.compression_enabled(),
             "compression is the default"
         );
-        let comp_batches = compressed.execute(&scan_all()).unwrap();
+        let (comp_batches, _) = compressed.fetch(&scan_all(), false, None).unwrap();
         let comp_bytes = compressed.link().metrics().bytes();
 
         // Bit-identical rows, strictly fewer wire bytes.
@@ -537,7 +508,7 @@ mod tests {
         off.store(true, Ordering::Relaxed);
         assert!(toggled.compression_enabled());
         off.store(false, Ordering::Relaxed);
-        let legacy_batches = toggled.execute(&scan_all()).unwrap();
+        let (legacy_batches, _) = toggled.fetch(&scan_all(), false, None).unwrap();
         assert_eq!(rows(&legacy_batches), rows(&raw_batches));
     }
 
@@ -550,7 +521,7 @@ mod tests {
                 ..RetryPolicy::default()
             });
         r.link().faults().fail_next(2);
-        r.execute(&scan_all()).unwrap();
+        r.fetch(&scan_all(), false, None).unwrap();
         // Two backoffs on an otherwise-free network: 1 ms + 2 ms.
         assert_eq!(clock.now_us(), 3_000);
         assert_eq!(r.link().metrics().retries(), 2);
@@ -562,9 +533,7 @@ mod tests {
         let r = remote(NetworkConditions::instant(), clock);
         r.link().faults().partition();
         let deadline = Instant::now() - std::time::Duration::from_millis(1);
-        let err = r
-            .execute_with_deadline(&scan_all(), false, Some(deadline))
-            .unwrap_err();
+        let err = r.fetch(&scan_all(), false, Some(deadline)).unwrap_err();
         assert!(err.is_retryable());
         assert_eq!(
             r.link().metrics().failures(),
@@ -588,7 +557,7 @@ mod tests {
             ..RetryPolicy::default()
         });
         r.link().faults().partition();
-        let err = r.execute(&scan_all()).unwrap_err();
+        let err = r.fetch(&scan_all(), false, None).unwrap_err();
         assert!(err.is_retryable());
         // Attempt 1 burns 1 ms latency, backs off 1 ms (2 ms spent);
         // attempt 2 burns another 1 ms, and the next 2 ms backoff
@@ -602,17 +571,9 @@ mod tests {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
         r.link().faults().fail_next(1);
-        let (batches, span) = r.execute_traced(&scan_all()).unwrap();
+        let (batches, span) = r.fetch(&scan_all(), true, None).unwrap();
+        let span = span.expect("a traced fetch reports a recv span");
         assert_eq!(batches.iter().map(Batch::num_rows).sum::<usize>(), 100);
         assert!(span.find("event:retry[crm attempt=2").is_some());
-    }
-
-    #[test]
-    fn execute_all_concatenates() {
-        let clock = SimClock::new();
-        let r = remote(NetworkConditions::instant(), clock);
-        let schema = r.adapter().table_schema("customers").unwrap();
-        let batch = r.execute_all(&scan_all(), schema).unwrap();
-        assert_eq!(batch.num_rows(), 100);
     }
 }

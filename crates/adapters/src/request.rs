@@ -400,23 +400,6 @@ pub trait SourceAdapter: Send + Sync {
     /// [`SourceRequest::output_schema`] layout.
     fn execute(&self, request: &SourceRequest) -> Result<Vec<Batch>>;
 
-    /// Executes a request *and* reports the source-side operator span
-    /// (rows produced, time spent at the source). The default wraps
-    /// [`SourceAdapter::execute`] with a single `remote:` span;
-    /// adapters with internal operator structure may override to
-    /// report a richer subtree. The span ships back to the mediator
-    /// over the wire, so component systems describe their own work —
-    /// the mediator never guesses.
-    fn execute_traced(&self, request: &SourceRequest) -> Result<(Vec<Batch>, gis_observe::Span)> {
-        let started = std::time::Instant::now();
-        let batches = self.execute(request)?;
-        let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-        let span = gis_observe::Span::leaf(format!("remote:{}", request.label()))
-            .with_rows_out(rows)
-            .with_wall_us(started.elapsed().as_micros() as u64);
-        Ok((batches, span))
-    }
-
     /// A monotonically increasing counter the adapter bumps on every
     /// data mutation (loads, table replacement, in-place edits).
     /// Result caches pin the versions they read; a bumped version

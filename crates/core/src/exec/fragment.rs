@@ -9,6 +9,7 @@
 //! global form (renames, casts, unit conversions) before the rest of
 //! the plan sees it.
 
+use crate::exec::physical::ExecContext;
 use crate::expr::{eval::evaluate_predicate, ScalarExpr};
 use crate::plan::logical::TableScanNode;
 use gis_adapters::{SourceGroup, SourceRequest};
@@ -49,33 +50,21 @@ pub struct FragmentExec {
 
 impl FragmentExec {
     /// Ships the fragment, maps the response to global form, applies
-    /// residual filters, and projects the output.
-    pub fn execute(&self, remote: &SourceGroup) -> Result<Batch> {
-        Ok(self.execute_traced(remote, false, None)?.0)
-    }
-
-    /// Like [`FragmentExec::execute`], but when `trace` is set also
-    /// builds the fragment's span: rows received vs. rows surviving
-    /// the residual filter, with the wire exchange (and the source's
-    /// own reported span) as a child. The deadline bounds retries and
-    /// replica failover inside the group.
-    pub fn execute_traced(
-        &self,
-        remote: &SourceGroup,
-        trace: bool,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<(Batch, Option<Span>)> {
+    /// residual filters, and projects the output. When the query
+    /// traces, also builds the fragment's span: rows received vs. rows
+    /// surviving the residual filter, with the wire exchange (and the
+    /// source's own reported span) as a child. The query's deadline
+    /// bounds retries and replica failover inside the group.
+    pub fn execute(&self, ctx: &ExecContext<'_>) -> Result<(Batch, Option<Span>)> {
+        let trace = ctx.options().tracing;
         let started = trace.then(std::time::Instant::now);
         let resp_schema = self.request.output_schema(&self.export_schema)?;
-        let (raw, recv) = if trace {
-            let (b, s) = remote.execute_all_traced(&self.request, resp_schema, deadline)?;
-            (b, Some(s))
-        } else {
-            (
-                remote.execute_all(&self.request, resp_schema, deadline)?,
-                None,
-            )
-        };
+        let (raw, recv) = ctx.source(&self.source)?.fetch_all(
+            &self.request,
+            resp_schema,
+            trace,
+            ctx.deadline(),
+        )?;
         let rows_in = raw.num_rows() as u64;
         let mapped = self.map_response(&raw)?;
         let filtered = match &self.residual {

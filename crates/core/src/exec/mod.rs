@@ -16,6 +16,6 @@ pub mod physical;
 pub mod planner;
 pub mod sort;
 
-pub use options::{ExecOptions, JoinStrategy};
+pub use options::{ExecOptions, JoinStrategy, QueryCtx};
 pub use physical::{ExecContext, PhysicalPlan};
 pub use planner::create_physical_plan;

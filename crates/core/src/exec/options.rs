@@ -111,3 +111,44 @@ impl ExecOptions {
         }
     }
 }
+
+/// One query's envelope: everything a caller may set for a single
+/// statement, handed down once from the client tier
+/// ([`crate::Federation::run`]) through planning and execution
+/// ([`crate::exec::ExecContext`]) to the wrappers.
+///
+/// `Copy`, with every field public, so an override is struct-update
+/// syntax: `QueryCtx { deadline: Some(t), ..fed.ctx() }`.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryCtx<'a> {
+    /// Which rewrite rules run (bind → optimize).
+    pub optimizer: crate::optimizer::OptimizerOptions,
+    /// Physical planning and execution knobs, `tracing` among them.
+    pub exec: ExecOptions,
+    /// Runtime-assigned id stamped on metrics and errors (0 = ad hoc,
+    /// outside the runtime).
+    pub query_id: u64,
+    /// Host-time deadline. Operators poll it on entry, hash kernels
+    /// inside their loops, and the wrappers before every retry and
+    /// failover; past it the query ends with
+    /// [`gis_types::GisError::Deadline`].
+    pub deadline: Option<std::time::Instant>,
+    /// The memory budget hash kernels and sort buffers account
+    /// against: they spill at its soft limit and the query ends with
+    /// [`gis_types::GisError::ResourceExhausted`] past its hard one.
+    pub budget: &'a gis_types::MemBudget,
+}
+
+impl QueryCtx<'static> {
+    /// An ad-hoc envelope: query id 0, no deadline, the process-wide
+    /// unlimited budget.
+    pub fn new(optimizer: crate::optimizer::OptimizerOptions, exec: ExecOptions) -> Self {
+        QueryCtx {
+            optimizer,
+            exec,
+            query_id: 0,
+            deadline: None,
+            budget: &gis_types::mem::UNLIMITED,
+        }
+    }
+}

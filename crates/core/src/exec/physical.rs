@@ -4,6 +4,7 @@ use crate::exec::aggregate::{distinct, hash_aggregate};
 use crate::exec::fragment::FragmentExec;
 use crate::exec::join::{hash_join, nested_loop_join};
 use crate::exec::keys::{KernelGov, KernelOptions};
+use crate::exec::options::{ExecOptions, QueryCtx};
 use crate::exec::sort::sort_batch;
 use crate::expr::eval::{evaluate, evaluate_predicate};
 use crate::expr::ScalarExpr;
@@ -14,110 +15,70 @@ use gis_catalog::TableMapping;
 use gis_net::KeyBloom;
 use gis_observe::Span;
 use gis_sql::ast::JoinKind;
-use gis_types::mem::{MemBudget, UNLIMITED};
+use gis_types::mem::MemBudget;
 use gis_types::{Batch, GisError, Result, Row, Schema, SchemaRef, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Everything execution needs: the registry of metered source groups,
-/// the execution options, and the runtime envelope (query id +
-/// deadline), plus the collector for degraded-source reports when
+/// Everything execution needs: the registry of metered source groups
+/// and the query's envelope (options, query id, deadline, budget),
+/// plus the collector for degraded-source reports when
 /// `partial_results` is on.
 pub struct ExecContext<'a> {
     sources: &'a HashMap<String, SourceGroup>,
-    options: crate::exec::options::ExecOptions,
-    query_id: u64,
-    deadline: Option<std::time::Instant>,
-    budget: &'a MemBudget,
+    query: QueryCtx<'a>,
     degraded: Mutex<Vec<DegradedSource>>,
 }
 
 impl<'a> ExecContext<'a> {
-    /// A context over a source registry with default options.
-    pub fn new(sources: &'a HashMap<String, SourceGroup>) -> Self {
-        ExecContext::with_options(sources, crate::exec::options::ExecOptions::default())
-    }
-
-    /// A context with explicit options.
-    pub fn with_options(
-        sources: &'a HashMap<String, SourceGroup>,
-        options: crate::exec::options::ExecOptions,
-    ) -> Self {
+    /// A context running `query` over a source registry.
+    pub fn new(sources: &'a HashMap<String, SourceGroup>, query: &QueryCtx<'a>) -> Self {
         ExecContext {
             sources,
-            options,
-            query_id: 0,
-            deadline: None,
-            budget: &UNLIMITED,
+            query: *query,
             degraded: Mutex::new(Vec::new()),
         }
     }
 
-    /// Tags the context with a runtime-assigned query id (threaded
-    /// into [`crate::metrics::QueryMetrics`]).
-    pub fn with_query_id(mut self, query_id: u64) -> Self {
-        self.query_id = query_id;
-        self
-    }
-
-    /// Sets a host-time deadline. Operators poll it between fragment
-    /// fetches; an expired deadline cancels the query with
-    /// [`GisError::Deadline`] instead of letting it keep shipping
-    /// bytes from slow autonomous sources.
-    pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Attaches the query's memory budget. Hash kernels and sort
-    /// buffers account their allocations against it, degrade to
-    /// spilled execution when the soft limit is hit, and cancel the
-    /// query with [`GisError::ResourceExhausted`] past the hard
-    /// limit. Defaults to the process-wide unlimited budget.
-    pub fn with_budget(mut self, budget: &'a MemBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// The query's memory budget.
     pub fn budget(&self) -> &'a MemBudget {
-        self.budget
+        self.query.budget
     }
 
     /// The kernel governor for this query: budget + deadline +
     /// query id, handed to every hash kernel so cancellation checks
     /// fire *inside* partitioned loops, not only between operators.
     pub fn kernel_gov(&self) -> KernelGov<'a> {
-        KernelGov::new(self.budget, self.deadline, self.query_id)
+        KernelGov::new(self.query.budget, self.query.deadline, self.query.query_id)
     }
 
     /// The runtime-assigned query id (0 when ad-hoc).
     pub fn query_id(&self) -> u64 {
-        self.query_id
+        self.query.query_id
     }
 
     /// Errors with [`GisError::Deadline`] when past the deadline.
     pub fn check_deadline(&self) -> Result<()> {
-        match self.deadline {
+        match self.query.deadline {
             Some(d) if std::time::Instant::now() >= d => Err(GisError::Deadline(format!(
                 "query {} exceeded its deadline; fragment fetches cancelled",
-                self.query_id
+                self.query.query_id
             ))),
             _ => Ok(()),
         }
     }
 
     /// The execution options.
-    pub fn options(&self) -> &crate::exec::options::ExecOptions {
-        &self.options
+    pub fn options(&self) -> &ExecOptions {
+        &self.query.exec
     }
 
     /// The query deadline, if any (threaded into fragment retries so
     /// an expired query stops burning round trips).
     pub fn deadline(&self) -> Option<std::time::Instant> {
-        self.deadline
+        self.query.deadline
     }
 
     /// Looks up a source group by name.
@@ -162,12 +123,14 @@ fn degrade_on_unavailable(
     ctx: &ExecContext<'_>,
     source: &str,
     schema: &SchemaRef,
-    trace: bool,
 ) -> Result<(Batch, Option<Span>)> {
     match result {
         Err(e) if ctx.options().partial_results && is_availability_error(&e) => {
             ctx.record_degraded(source, &e);
-            let span = trace.then(|| Span::leaf(format!("degraded[{source}]: {}", e.code())));
+            let span = ctx
+                .options()
+                .tracing
+                .then(|| Span::leaf(format!("degraded[{source}]: {}", e.code())));
             Ok((Batch::empty(schema.clone()), span))
         }
         other => other,
@@ -215,21 +178,18 @@ pub struct RemoteJoinExec {
 }
 
 impl RemoteJoinExec {
-    fn execute(&self, ctx: &ExecContext<'_>, trace: bool) -> Result<(Batch, Option<Span>)> {
+    fn execute(&self, ctx: &ExecContext<'_>) -> Result<(Batch, Option<Span>)> {
+        let trace = ctx.options().tracing;
         let started = trace.then(std::time::Instant::now);
-        let remote = ctx.source(&self.source)?;
         let resp_schema = self
             .request
             .join_output_schema(&self.left_export, &self.right_export)?;
-        let (raw, recv) = if trace {
-            let (b, s) = remote.execute_all_traced(&self.request, resp_schema, ctx.deadline())?;
-            (b, Some(s))
-        } else {
-            (
-                remote.execute_all(&self.request, resp_schema, ctx.deadline())?,
-                None,
-            )
-        };
+        let (raw, recv) = ctx.source(&self.source)?.fetch_all(
+            &self.request,
+            resp_schema,
+            trace,
+            ctx.deadline(),
+        )?;
         let rows_in = raw.num_rows() as u64;
         // Apply per-column transforms positionally.
         let mut cols = Vec::with_capacity(self.columns.len());
@@ -482,40 +442,34 @@ impl PhysicalPlan {
         }
     }
 
-    /// Executes the plan to a single batch.
-    pub fn execute(&self, ctx: &ExecContext<'_>) -> Result<Batch> {
-        Ok(self.execute_traced(ctx)?.0)
-    }
-
-    /// Executes the plan, additionally producing a per-operator
-    /// [`Span`] tree when `ctx.options().tracing` is on. Every node
-    /// records rows in/out and wall time; remote exchanges add bytes
-    /// and messages plus the span the *source itself* reported over
-    /// the wire — the mediator stitches, it never guesses.
-    pub fn execute_traced(&self, ctx: &ExecContext<'_>) -> Result<(Batch, Option<Span>)> {
+    /// Executes the plan to a single batch, additionally producing a
+    /// per-operator [`Span`] tree when `ctx.options().tracing` is on.
+    /// Every node records rows in/out and wall time; remote exchanges
+    /// add bytes and messages plus the span the *source itself*
+    /// reported over the wire — the mediator stitches, it never
+    /// guesses.
+    pub fn execute(&self, ctx: &ExecContext<'_>) -> Result<(Batch, Option<Span>)> {
         // One choke point cancels the whole tree: every operator
         // (including each fragment fetch and bind-join batch, which
         // recurse through here) re-checks the deadline on entry.
         ctx.check_deadline()?;
-        let trace = ctx.options.tracing;
+        let trace = ctx.options().tracing;
         // Remote operators build their own spans: they know the wire
         // bytes and carry the source-reported subtree.
         match self {
             PhysicalPlan::Fragment(f) => {
-                let result = f.execute_traced(ctx.source(&f.source)?, trace, ctx.deadline());
-                return degrade_on_unavailable(result, ctx, &f.source, &f.schema, trace);
+                return degrade_on_unavailable(f.execute(ctx), ctx, &f.source, &f.schema);
             }
             PhysicalPlan::RemoteAggregate(r) => {
-                let result = execute_remote_agg(r, ctx, trace);
-                return degrade_on_unavailable(result, ctx, &r.source, &r.schema, trace);
+                let result = execute_remote_agg(r, ctx);
+                return degrade_on_unavailable(result, ctx, &r.source, &r.schema);
             }
             PhysicalPlan::RemoteJoin(r) => {
-                let result = r.execute(ctx, trace);
-                return degrade_on_unavailable(result, ctx, &r.source, &r.schema, trace);
+                return degrade_on_unavailable(r.execute(ctx), ctx, &r.source, &r.schema);
             }
             // Bind joins degrade *inside* the operator (at the lookup
             // loop) so a left join keeps its reachable outer rows.
-            PhysicalPlan::BindJoin(b) => return execute_bind_join(b, ctx, trace),
+            PhysicalPlan::BindJoin(b) => return execute_bind_join(b, ctx),
             _ => {}
         }
         // Mediator operators share the generic wrap-up below: run the
@@ -627,7 +581,7 @@ impl PhysicalPlan {
                 batch.slice(start, len)
             }
             PhysicalPlan::Union { inputs, schema } => {
-                let raw: Vec<Batch> = if ctx.options.parallel_fetch && inputs.len() > 1 {
+                let raw: Vec<Batch> = if ctx.options().parallel_fetch && inputs.len() > 1 {
                     let parts = execute_all_parallel(inputs, ctx)?;
                     let mut raw = Vec::with_capacity(parts.len());
                     for (b, s) in parts {
@@ -869,7 +823,7 @@ fn run_child(
     children: &mut Vec<Span>,
     rows_in: &mut u64,
 ) -> Result<Batch> {
-    let (batch, span) = child.execute_traced(ctx)?;
+    let (batch, span) = child.execute(ctx)?;
     *rows_in += batch.num_rows() as u64;
     children.extend(span);
     Ok(batch)
@@ -888,12 +842,12 @@ fn execute_pair(
     right: &PhysicalPlan,
     ctx: &ExecContext<'_>,
 ) -> Result<(TracedBatch, TracedBatch)> {
-    if !ctx.options.parallel_fetch {
-        return Ok((left.execute_traced(ctx)?, right.execute_traced(ctx)?));
+    if !ctx.options().parallel_fetch {
+        return Ok((left.execute(ctx)?, right.execute(ctx)?));
     }
     std::thread::scope(|s| {
-        let lh = s.spawn(|| left.execute_traced(ctx));
-        let r = right.execute_traced(ctx);
+        let lh = s.spawn(|| left.execute(ctx));
+        let r = right.execute(ctx);
         let l = lh.join().map_err(fetch_thread_panicked)?;
         Ok((l?, r?))
     })
@@ -904,7 +858,7 @@ fn execute_all_parallel(plans: &[PhysicalPlan], ctx: &ExecContext<'_>) -> Result
     std::thread::scope(|s| {
         let handles: Vec<_> = plans
             .iter()
-            .map(|p| s.spawn(move || p.execute_traced(ctx)))
+            .map(|p| s.spawn(move || p.execute(ctx)))
             .collect();
         // Join every handle before reading any outcome: the scope
         // re-raises the panic of a thread it had to join itself, so
@@ -986,23 +940,13 @@ fn request_summary(req: &SourceRequest) -> String {
     }
 }
 
-fn execute_remote_agg(
-    r: &RemoteAggExec,
-    ctx: &ExecContext<'_>,
-    trace: bool,
-) -> Result<(Batch, Option<Span>)> {
+fn execute_remote_agg(r: &RemoteAggExec, ctx: &ExecContext<'_>) -> Result<(Batch, Option<Span>)> {
+    let trace = ctx.options().tracing;
     let started = trace.then(std::time::Instant::now);
-    let remote = ctx.source(&r.source)?;
     let resp_schema = r.request.output_schema(&r.export_schema)?;
-    let (raw, recv) = if trace {
-        let (b, s) = remote.execute_all_traced(&r.request, resp_schema, ctx.deadline())?;
-        (b, Some(s))
-    } else {
-        (
-            remote.execute_all(&r.request, resp_schema, ctx.deadline())?,
-            None,
-        )
-    };
+    let (raw, recv) =
+        ctx.source(&r.source)?
+            .fetch_all(&r.request, resp_schema, trace, ctx.deadline())?;
     // Group columns go through their mapping transforms; aggregate
     // outputs are cast to the declared output types.
     let mut columns = Vec::with_capacity(r.schema.len());
@@ -1027,14 +971,11 @@ fn execute_remote_agg(
     Ok((batch, span))
 }
 
-fn execute_bind_join(
-    b: &BindJoinExec,
-    ctx: &ExecContext<'_>,
-    trace: bool,
-) -> Result<(Batch, Option<Span>)> {
+fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, Option<Span>)> {
+    let trace = ctx.options().tracing;
     let started = trace.then(std::time::Instant::now);
     let mut children: Vec<Span> = Vec::new();
-    let (outer, outer_span) = b.outer.execute_traced(ctx)?;
+    let (outer, outer_span) = b.outer.execute(ctx)?;
     children.extend(outer_span);
     let remote = ctx.source(&b.inner.source)?;
     // Distinct non-null outer key tuples, inverted to export values.
@@ -1154,23 +1095,18 @@ fn execute_bind_join(
         // A bind join is the longest-running fragment shape (one
         // round trip per key batch) — poll the deadline per batch.
         ctx.check_deadline()?;
-        let fetched = if trace {
-            remote
-                .execute_all_traced(&request, resp_schema.clone(), ctx.deadline())
-                .map(|(raw, recv)| {
+        let raw = match remote.fetch_all(&request, resp_schema.clone(), trace, ctx.deadline()) {
+            Ok((raw, recv)) => {
+                if let Some(recv) = recv {
                     if recv_spans < BIND_RECV_SPAN_CAP {
                         recv_spans += 1;
                         children.push(recv);
                     } else {
                         recv_dropped += 1;
                     }
-                    raw
-                })
-        } else {
-            remote.execute_all(&request, resp_schema.clone(), ctx.deadline())
-        };
-        let raw = match fetched {
-            Ok(raw) => raw,
+                }
+                raw
+            }
             // Partial results: the inner source (every replica) is
             // unreachable — stop looking up, join against what we
             // have, and report the source as missing. Left joins keep
@@ -1279,8 +1215,12 @@ impl BindJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::options::ExecOptions;
+    use crate::optimizer::OptimizerOptions;
     use gis_types::{DataType, Field};
+
+    fn adhoc(exec: ExecOptions) -> QueryCtx<'static> {
+        QueryCtx::new(OptimizerOptions::default(), exec)
+    }
 
     fn one_row() -> PhysicalPlan {
         PhysicalPlan::Values {
@@ -1360,8 +1300,8 @@ mod tests {
     #[test]
     fn bind_join_fixture_is_sound() {
         let (sources, join) = bind_join_fixture();
-        let ctx = ExecContext::new(&sources);
-        let out = PhysicalPlan::BindJoin(join).execute(&ctx).unwrap();
+        let ctx = ExecContext::new(&sources, &adhoc(ExecOptions::default()));
+        let (out, _) = PhysicalPlan::BindJoin(join).execute(&ctx).unwrap();
         assert_eq!(out.to_rows(), vec![vec![Value::Int64(1)]]);
     }
 
@@ -1372,7 +1312,7 @@ mod tests {
     fn short_inner_key_positions_are_a_typed_error() {
         let (sources, mut join) = bind_join_fixture();
         join.inner_key_positions.clear();
-        let ctx = ExecContext::new(&sources);
+        let ctx = ExecContext::new(&sources, &adhoc(ExecOptions::default()));
         let err = PhysicalPlan::BindJoin(join).execute(&ctx).unwrap_err();
         assert_eq!(
             err,
@@ -1388,7 +1328,7 @@ mod tests {
         let (sources, mut join) = bind_join_fixture();
         join.inner.output_positions = vec![1];
         join.inner.schema = Schema::new(vec![Field::new("v", DataType::Int64)]).into_ref();
-        let ctx = ExecContext::new(&sources);
+        let ctx = ExecContext::new(&sources, &adhoc(ExecOptions::default()));
         let err = PhysicalPlan::BindJoin(join).execute(&ctx).unwrap_err();
         assert_eq!(
             err,
@@ -1405,7 +1345,7 @@ mod tests {
             parallel_fetch: true,
             ..ExecOptions::default()
         };
-        let ctx = ExecContext::with_options(&sources, options);
+        let ctx = ExecContext::new(&sources, &adhoc(options));
         let schema = one_row().schema().clone();
         let join = PhysicalPlan::NestedLoop {
             left: Box::new(panicking()),

@@ -379,46 +379,20 @@ impl Planner<'_> {
                 .collect();
             residuals.push(rsd.clone().remap_columns(&map)?);
         }
+        let left_pos = fetched_positions(&lf, &left.output_ordinals(), "output")?;
+        let right_pos = fetched_positions(&rf, &right.output_ordinals(), "output")?;
         if let Some(on) = on_residual {
-            let left_out = left.output_ordinals();
-            let right_out = right.output_ordinals();
-            let mut map: HashMap<usize, usize> = HashMap::new();
-            for (c, &g) in left_out.iter().enumerate() {
-                let pos = lf
-                    .fetched_global
-                    .iter()
-                    .position(|&f| f == g)
-                    .expect("output is fetched");
-                map.insert(c, pos);
-            }
-            for (c, &g) in right_out.iter().enumerate() {
-                let pos = rf
-                    .fetched_global
-                    .iter()
-                    .position(|&f| f == g)
-                    .expect("output is fetched");
-                map.insert(left_out.len() + c, left_width + pos);
-            }
+            let map: HashMap<usize, usize> = left_pos
+                .iter()
+                .copied()
+                .chain(right_pos.iter().map(|pos| left_width + pos))
+                .enumerate()
+                .collect();
             residuals.push(on.clone().remap_columns(&map)?);
         }
         // Output positions: left scan output then right scan output.
-        let mut output_positions: Vec<usize> = left
-            .output_ordinals()
-            .iter()
-            .map(|g| {
-                lf.fetched_global
-                    .iter()
-                    .position(|f| f == g)
-                    .expect("output is fetched")
-            })
-            .collect();
-        output_positions.extend(right.output_ordinals().iter().map(|g| {
-            left_width
-                + rf.fetched_global
-                    .iter()
-                    .position(|f| f == g)
-                    .expect("output is fetched")
-        }));
+        let mut output_positions = left_pos;
+        output_positions.extend(right_pos.iter().map(|pos| left_width + pos));
         Ok(Some(PhysicalPlan::RemoteJoin(
             crate::exec::physical::RemoteJoinExec {
                 source: left.resolved.source.name.clone(),
@@ -485,7 +459,7 @@ impl Planner<'_> {
         };
         let fragment = build_lookup_fragment(inner, &key_global)?;
         // Positions of key globals within the fetched layout.
-        let inner_key_positions = key_positions(&fragment, &key_global)?;
+        let inner_key_positions = fetched_positions(&fragment, &key_global, "join-key")?;
         let outer_plan = self.create(&j.left)?;
         Ok(Some(PhysicalPlan::BindJoin(BindJoinExec {
             outer: Box::new(outer_plan),
@@ -740,11 +714,12 @@ impl Planner<'_> {
     }
 }
 
-/// Positions of the join-key globals within a lookup fragment's
-/// fetched layout. `build_lookup_fragment` fetches every key, so a
-/// missing one is a planner bug — reported, not panicked on.
-fn key_positions(fragment: &FragmentExec, key_global: &[usize]) -> Result<Vec<usize>> {
-    key_global
+/// Positions of `globals` within a fragment's fetched layout. The
+/// fragment builders fetch every output column and every join key, so
+/// a missing one is a planner bug — reported, not panicked on. `role`
+/// names what the columns are for in that report.
+fn fetched_positions(fragment: &FragmentExec, globals: &[usize], role: &str) -> Result<Vec<usize>> {
+    globals
         .iter()
         .map(|g| {
             fragment
@@ -753,7 +728,7 @@ fn key_positions(fragment: &FragmentExec, key_global: &[usize]) -> Result<Vec<us
                 .position(|f| f == g)
                 .ok_or_else(|| {
                     GisError::Internal(format!(
-                        "lookup fragment on '{}' does not fetch join-key column {g}",
+                        "fragment on '{}' does not fetch {role} column {g}",
                         fragment.source
                     ))
                 })
@@ -808,15 +783,30 @@ mod tests {
     #[test]
     fn unfetched_join_key_is_a_typed_error() {
         assert_eq!(
-            key_positions(&lookup_fragment(vec![0, 1]), &[1, 0]).unwrap(),
+            fetched_positions(&lookup_fragment(vec![0, 1]), &[1, 0], "join-key").unwrap(),
             vec![1, 0]
         );
-        let err = key_positions(&lookup_fragment(vec![1]), &[0]).unwrap_err();
+        let err = fetched_positions(&lookup_fragment(vec![1]), &[0], "join-key").unwrap_err();
         assert_eq!(
             err,
-            GisError::Internal(
-                "lookup fragment on 'sales' does not fetch join-key column 0".into()
-            )
+            GisError::Internal("fragment on 'sales' does not fetch join-key column 0".into())
+        );
+    }
+
+    /// A co-located join lays its response out from a pair of scan
+    /// fragments; a side whose fetched list lacks one of its output
+    /// columns used to panic the planner (`expect("output is fetched")`).
+    #[test]
+    fn unfetched_output_column_is_a_typed_error() {
+        let (left, right) = (lookup_fragment(vec![0, 1]), lookup_fragment(vec![1]));
+        assert_eq!(
+            fetched_positions(&left, &[0, 1], "output").unwrap(),
+            vec![0, 1]
+        );
+        let err = fetched_positions(&right, &[0, 1], "output").unwrap_err();
+        assert_eq!(
+            err,
+            GisError::Internal("fragment on 'sales' does not fetch output column 0".into())
         );
     }
 
@@ -852,10 +842,12 @@ mod tests {
 
     fn run(logical: &LogicalPlan) -> Vec<i64> {
         let sources = HashMap::new();
-        let ctx = crate::exec::ExecContext::new(&sources);
+        let query = crate::exec::QueryCtx::new(Default::default(), ExecOptions::default());
+        let ctx = crate::exec::ExecContext::new(&sources, &query);
         plan(logical)
             .execute(&ctx)
             .unwrap()
+            .0
             .to_rows()
             .into_iter()
             .map(|r| match r[0] {

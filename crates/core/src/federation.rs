@@ -15,7 +15,7 @@
 //! # Ok::<(), gis_types::GisError>(())
 //! ```
 
-use crate::exec::{create_physical_plan, ExecContext, ExecOptions};
+use crate::exec::{create_physical_plan, ExecContext, ExecOptions, QueryCtx};
 use crate::metrics::{DegradedReport, QueryMetrics, TrafficSnapshot};
 use crate::optimizer::view_match::{rewrite_with_views, would_match, ViewCandidate};
 use crate::optimizer::{optimize, OptimizerOptions};
@@ -28,7 +28,7 @@ use gis_sql::ast::Statement;
 use gis_stats::{
     plan_fingerprint, FeedbackRegistry, SampleMode, SampleSpec, StatsGauges, StatsPolicy,
 };
-use gis_types::{Batch, GisError, MemBudget, Result};
+use gis_types::{Batch, GisError, Result};
 use gis_views::{CompiledView, MaterializedView, RefreshPolicy, ViewGauges, ViewRegistry};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -597,7 +597,7 @@ impl Federation {
         // Capture the catalog version *before* binding: a concurrent
         // catalog change then marks the plan stale, never fresh.
         let catalog_version = self.catalog.version();
-        let plan = self.plan_statement(stmt)?;
+        let plan = self.plan_statement_with(stmt, &self.optimizer_options())?;
         let schema = plan.schema().clone();
         let sources = plan.source_names();
         Ok(CompiledView {
@@ -622,9 +622,9 @@ impl Federation {
         // Pin versions BEFORE executing: a write racing the refresh
         // leaves the view stale, never falsely fresh.
         let versions = self.data_versions_for(&compiled.sources);
-        let mut exec = self.exec_options();
-        exec.view_matching = false;
-        let result = self.execute_logical(&compiled.plan, &exec, 0, None)?;
+        let mut ctx = self.ctx();
+        ctx.exec.view_matching = false;
+        let result = self.execute(&compiled.plan, &ctx)?;
         if result.degraded.is_some() {
             return Err(GisError::Unavailable(format!(
                 "refresh of materialized view '{}' degraded; refusing to materialize a partial result",
@@ -688,102 +688,127 @@ impl Federation {
         outcome
     }
 
-    /// Runs `sql` and returns rows plus metrics. `EXPLAIN` statements
-    /// return the plan rendering as a one-column batch;
-    /// materialized-view DDL returns a one-row status batch.
+    /// The federation-wide defaults as a query envelope: current
+    /// optimizer and execution options, query id 0, no deadline, the
+    /// unlimited budget. Override fields with struct-update syntax.
+    pub fn ctx(&self) -> QueryCtx<'static> {
+        QueryCtx::new(self.optimizer_options(), self.exec_options())
+    }
+
+    /// Runs `sql` under the federation-wide defaults and returns rows
+    /// plus metrics. `EXPLAIN` statements return the plan rendering as
+    /// a one-column batch; materialized-view DDL and `ANALYZE` return
+    /// a one-row status batch.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        let stmt = gis_sql::parse(sql)?;
-        match stmt {
-            Statement::Explain { analyze, statement } => {
-                let optimizer = self.optimizer_options();
-                let exec = self.exec_options();
-                self.explain_statement(
-                    *statement,
-                    analyze,
-                    &optimizer,
-                    &exec,
-                    &gis_types::mem::UNLIMITED,
-                )
-            }
-            Statement::Query(_) => self.run_statement(&stmt),
-            Statement::CreateMaterializedView { name, query } => {
-                self.create_materialized_view(&name, &gis_sql::unparse::query_to_sql(&query))
-            }
-            Statement::RefreshMaterializedView { name } => self.refresh_materialized_view(&name),
-            Statement::DropMaterializedView { name } => self.drop_materialized_view(&name),
-            Statement::Analyze { source, table } => {
-                self.run_analyze(source.as_deref(), table.as_deref())
-            }
-        }
+        self.run(sql, &self.ctx())
     }
 
-    /// Binds and optimizes `sql` without executing (inspection/tests).
-    pub fn logical_plan(&self, sql: &str) -> Result<LogicalPlan> {
-        let stmt = gis_sql::parse(sql)?;
-        self.plan_statement(&stmt)
-    }
-
-    /// Renders the optimized logical and physical plans.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = gis_sql::parse(sql)?;
-        let plan = self.plan_statement(&stmt)?;
-        let sources = self.sources.read();
-        let physical = create_physical_plan(&plan, &sources, &self.exec_options.read())?;
-        Ok(format!(
-            "== Logical plan ==\n{plan}== Physical plan ==\n{}",
-            physical.display()
-        ))
-    }
-
-    /// Like [`Federation::query`], but with explicit option sets
+    /// Like [`Federation::query`], but under the caller's envelope
     /// instead of the federation-wide defaults. This is the session
     /// path: a runtime session carries its own overrides and must not
     /// mutate shared state to apply them.
-    pub fn query_with(
-        &self,
-        sql: &str,
-        optimizer: &OptimizerOptions,
-        exec: &ExecOptions,
-    ) -> Result<QueryResult> {
-        self.query_with_budget(sql, optimizer, exec, &gis_types::mem::UNLIMITED)
+    pub fn run(&self, sql: &str, ctx: &QueryCtx<'_>) -> Result<QueryResult> {
+        self.run_statement(&gis_sql::parse(sql)?, ctx)
     }
 
-    /// [`Federation::query_with`] under an explicit per-query memory
-    /// budget: hash kernels and sort buffers account against it,
-    /// spill when the soft limit is hit, and cancel the query with
-    /// [`GisError::ResourceExhausted`] past the hard limit.
-    pub fn query_with_budget(
-        &self,
-        sql: &str,
-        optimizer: &OptimizerOptions,
-        exec: &ExecOptions,
-        budget: &MemBudget,
-    ) -> Result<QueryResult> {
-        let stmt = gis_sql::parse(sql)?;
-        match stmt {
+    /// Runs one parsed statement under `ctx` — the single statement
+    /// dispatch. Queries and `EXPLAIN [ANALYZE]` honour every field of
+    /// the envelope; the other statements only carry its query id.
+    pub fn run_statement(&self, stmt: &Statement, ctx: &QueryCtx<'_>) -> Result<QueryResult> {
+        let mut result = match stmt {
+            Statement::Query(_) => self.plan_and_execute(stmt, ctx),
             Statement::Explain { analyze, statement } => {
-                self.explain_statement(*statement, analyze, optimizer, exec, budget)
-            }
-            Statement::Query(_) => {
-                let started = Instant::now();
-                let plan = self.plan_statement_with(&stmt, optimizer)?;
-                let mut result = self.execute_logical_governed(&plan, exec, 0, None, budget)?;
-                result.metrics.wall_us = started.elapsed().as_micros();
-                Ok(result)
+                self.explain_statement(statement, *analyze, ctx)
             }
             // View DDL mutates federation-wide state; session option
             // overrides don't apply, so route to the shared APIs.
             Statement::CreateMaterializedView { name, query } => {
-                self.create_materialized_view(&name, &gis_sql::unparse::query_to_sql(&query))
+                self.create_materialized_view(name, &gis_sql::unparse::query_to_sql(query))
             }
-            Statement::RefreshMaterializedView { name } => self.refresh_materialized_view(&name),
-            Statement::DropMaterializedView { name } => self.drop_materialized_view(&name),
+            Statement::RefreshMaterializedView { name } => self.refresh_materialized_view(name),
+            Statement::DropMaterializedView { name } => self.drop_materialized_view(name),
             // ANALYZE mutates shared catalog state; session overrides
             // don't apply.
             Statement::Analyze { source, table } => {
                 self.run_analyze(source.as_deref(), table.as_deref())
             }
-        }
+        }?;
+        result.metrics.query_id = ctx.query_id;
+        Ok(result)
+    }
+
+    /// `EXPLAIN` renders the plans; `EXPLAIN ANALYZE` runs the statement
+    /// under `ctx` and renders the span tree it produced.
+    fn explain_statement(
+        &self,
+        statement: &Statement,
+        analyze: bool,
+        ctx: &QueryCtx<'_>,
+    ) -> Result<QueryResult> {
+        let mut degraded = None;
+        let rendered = if analyze {
+            // Execute with tracing forced on: the annotated tree is
+            // the point, whatever the session's normal settings are.
+            let mut traced = *ctx;
+            traced.exec.tracing = true;
+            let result = self.plan_and_execute(statement, &traced)?;
+            let trace = result.metrics.trace.as_ref();
+            let mut rendered = trace.map(|span| span.render()).unwrap_or_default();
+            rendered.push_str(&format!("-- executed: {}\n", result.metrics.summary()));
+            if let Some(report) = &result.degraded {
+                rendered.push_str(&format!("-- degraded: {}\n", report.summary()));
+            }
+            degraded = result.degraded;
+            rendered
+        } else {
+            let plan = self.plan_statement_with(statement, &ctx.optimizer)?;
+            self.render_plans(&plan, &ctx.exec)?
+        };
+        let schema = gis_types::Schema::new(vec![gis_types::Field::required(
+            "plan",
+            gis_types::DataType::Utf8,
+        )])
+        .into_ref();
+        let rows: Vec<Vec<gis_types::Value>> = rendered
+            .lines()
+            .map(|l| vec![gis_types::Value::Utf8(l.to_string())])
+            .collect();
+        Ok(QueryResult {
+            batch: Batch::from_rows(schema, &rows)?,
+            metrics: QueryMetrics::default(),
+            degraded,
+        })
+    }
+
+    /// Frontend then backend for one query statement; `wall_us` covers
+    /// both.
+    fn plan_and_execute(&self, stmt: &Statement, ctx: &QueryCtx<'_>) -> Result<QueryResult> {
+        let started = Instant::now();
+        let plan = self.plan_statement_with(stmt, &ctx.optimizer)?;
+        let mut result = self.execute(&plan, ctx)?;
+        result.metrics.wall_us = started.elapsed().as_micros();
+        Ok(result)
+    }
+
+    /// Binds and optimizes `sql` without executing (inspection/tests).
+    pub fn logical_plan(&self, sql: &str) -> Result<LogicalPlan> {
+        self.plan_statement_with(&gis_sql::parse(sql)?, &self.optimizer_options())
+    }
+
+    /// Renders the optimized logical and physical plans — what an
+    /// `EXPLAIN` of `sql` under the federation-wide defaults shows.
+    pub fn explain(&self, sql: &str) -> Result<String> {
+        let ctx = self.ctx();
+        let plan = self.plan_statement_with(&gis_sql::parse(sql)?, &ctx.optimizer)?;
+        self.render_plans(&plan, &ctx.exec)
+    }
+
+    fn render_plans(&self, plan: &LogicalPlan, exec: &ExecOptions) -> Result<String> {
+        let physical = create_physical_plan(plan, &self.sources.read(), exec)?;
+        Ok(format!(
+            "== Logical plan ==\n{plan}== Physical plan ==\n{}",
+            physical.display()
+        ))
     }
 
     /// Binds and optimizes a parsed statement under explicit optimizer
@@ -807,10 +832,11 @@ impl Federation {
         optimize(bound, options)
     }
 
-    /// Executes an already-optimized logical plan under explicit
-    /// execution options, attributing traffic to `query_id` and
-    /// cancelling (with [`GisError::Deadline`]) once `deadline`
-    /// passes. The backend half of the query path.
+    /// [`Federation::execute`] with the envelope spelled positionally.
+    /// Kept only because `examples/bench_e2e/src/trace.rs` calls it and
+    /// a PR may not touch the benchmark and the engine together: the
+    /// next `benchmark` PR moves `trace.rs` to `execute` and deletes
+    /// this wrapper.
     pub fn execute_logical(
         &self,
         plan: &LogicalPlan,
@@ -818,28 +844,29 @@ impl Federation {
         query_id: u64,
         deadline: Option<Instant>,
     ) -> Result<QueryResult> {
-        self.execute_logical_governed(plan, exec, query_id, deadline, &gis_types::mem::UNLIMITED)
+        let ctx = QueryCtx {
+            exec: *exec,
+            query_id,
+            deadline,
+            ..self.ctx()
+        };
+        self.execute(plan, &ctx)
     }
 
-    /// [`Federation::execute_logical`] under an explicit memory
-    /// budget. The runtime scheduler builds one budget per admitted
-    /// query (charged against the process pool) and threads it here;
-    /// the unbudgeted entry points pass the process-wide unlimited
-    /// budget.
-    pub fn execute_logical_governed(
-        &self,
-        plan: &LogicalPlan,
-        exec: &ExecOptions,
-        query_id: u64,
-        deadline: Option<Instant>,
-        budget: &MemBudget,
-    ) -> Result<QueryResult> {
+    /// Executes an already-optimized logical plan under `ctx` — the
+    /// backend half of the query path: its execution options shape the
+    /// physical plan, traffic and errors carry its query id, the query
+    /// is cancelled (with [`GisError::Deadline`]) once its deadline
+    /// passes, and kernels account against its budget. The runtime
+    /// scheduler builds one budget per admitted query, charged against
+    /// the process pool.
+    pub fn execute(&self, plan: &LogicalPlan, ctx: &QueryCtx<'_>) -> Result<QueryResult> {
         let started = Instant::now();
         // View matching runs here — after optimization, at execution
         // time — because freshness is only knowable now, and because
         // the runtime's plan cache must never store a view decision
         // that could outlive the view's freshness.
-        let rewritten = if exec.view_matching && !self.views.is_empty() {
+        let rewritten = if ctx.exec.view_matching && !self.views.is_empty() {
             self.apply_view_matching(plan)
         } else {
             None
@@ -849,7 +876,7 @@ impl Federation {
             None => (plan, Vec::new()),
         };
         let sources = self.sources.read();
-        let physical = create_physical_plan(plan, &sources, exec)?;
+        let physical = create_physical_plan(plan, &sources, &ctx.exec)?;
         // Traffic is accounted over *every* replica link: a failover
         // charges the replica that actually carried (or dropped) the
         // messages, not the logical source's primary.
@@ -858,15 +885,12 @@ impl Federation {
             .flat_map(|g| g.replicas().iter().map(|r| r.link()))
             .collect();
         let snapshot = TrafficSnapshot::capture(links.iter().copied(), &self.clock);
-        let ctx = ExecContext::with_options(&sources, *exec)
-            .with_query_id(query_id)
-            .with_deadline(deadline)
-            .with_budget(budget);
-        let (batch, trace) = physical.execute_traced(&ctx)?;
+        let exec = ExecContext::new(&sources, ctx);
+        let (batch, trace) = physical.execute(&exec)?;
         let mut metrics = snapshot.diff_against(links.iter().copied(), &self.clock);
         metrics.rows_returned = batch.num_rows();
         metrics.fragments = physical.fragment_count();
-        metrics.query_id = query_id;
+        metrics.query_id = ctx.query_id;
         metrics.wall_us = started.elapsed().as_micros();
         metrics.trace = trace;
         metrics.views_used = views_used;
@@ -876,7 +900,7 @@ impl Federation {
         if let Some(span) = &mut metrics.trace {
             span.est_rows = crate::cost::estimate(plan).rows.round().max(1.0) as u64;
         }
-        let degraded = ctx.take_degraded();
+        let degraded = exec.take_degraded();
         // Cardinality feedback: compare the optimizer's root estimate
         // against the observed row count, attributed to every base
         // table the plan read. Degraded (partial) results are skipped
@@ -906,73 +930,6 @@ impl Federation {
         Ok(QueryResult {
             batch,
             metrics,
-            degraded,
-        })
-    }
-
-    fn plan_statement(&self, stmt: &Statement) -> Result<LogicalPlan> {
-        let options = *self.optimizer_options.read();
-        self.plan_statement_with(stmt, &options)
-    }
-
-    fn run_statement(&self, stmt: &Statement) -> Result<QueryResult> {
-        let started = Instant::now();
-        let plan = self.plan_statement(stmt)?;
-        let exec = self.exec_options();
-        let mut result = self.execute_logical(&plan, &exec, 0, None)?;
-        result.metrics.wall_us = started.elapsed().as_micros();
-        Ok(result)
-    }
-
-    fn explain_statement(
-        &self,
-        stmt: Statement,
-        analyze: bool,
-        optimizer: &OptimizerOptions,
-        exec: &ExecOptions,
-        budget: &MemBudget,
-    ) -> Result<QueryResult> {
-        let mut degraded = None;
-        let rendered = if analyze {
-            // Execute with tracing forced on: the annotated tree is
-            // the point, whatever the session's normal settings are.
-            let mut exec = *exec;
-            exec.tracing = true;
-            let started = Instant::now();
-            let plan = self.plan_statement_with(&stmt, optimizer)?;
-            let mut result = self.execute_logical_governed(&plan, &exec, 0, None, budget)?;
-            result.metrics.wall_us = started.elapsed().as_micros();
-            let tree = match &result.metrics.trace {
-                Some(span) => span.render(),
-                None => plan.to_string(),
-            };
-            let mut rendered = format!("{tree}-- executed: {}\n", result.metrics.summary());
-            if let Some(report) = &result.degraded {
-                rendered.push_str(&format!("-- degraded: {}\n", report.summary()));
-            }
-            degraded = result.degraded;
-            rendered
-        } else {
-            let plan = self.plan_statement_with(&stmt, optimizer)?;
-            let sources = self.sources.read();
-            let physical = create_physical_plan(&plan, &sources, exec)?;
-            format!(
-                "== Logical plan ==\n{plan}== Physical plan ==\n{}",
-                physical.display()
-            )
-        };
-        let schema = gis_types::Schema::new(vec![gis_types::Field::required(
-            "plan",
-            gis_types::DataType::Utf8,
-        )])
-        .into_ref();
-        let rows: Vec<Vec<gis_types::Value>> = rendered
-            .lines()
-            .map(|l| vec![gis_types::Value::Utf8(l.to_string())])
-            .collect();
-        Ok(QueryResult {
-            batch: Batch::from_rows(schema, &rows)?,
-            metrics: QueryMetrics::default(),
             degraded,
         })
     }

@@ -41,7 +41,7 @@ pub mod metrics;
 pub mod optimizer;
 pub mod plan;
 
-pub use exec::options::{ExecOptions, JoinStrategy};
+pub use exec::options::{ExecOptions, JoinStrategy, QueryCtx};
 pub use federation::{Federation, QueryResult};
 pub use gis_views::{RefreshPolicy, Staleness, ViewGauges};
 pub use metrics::{DegradedReport, DegradedSource, QueryMetrics};

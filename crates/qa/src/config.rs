@@ -1,11 +1,11 @@
 //! The engine-configuration matrix the differential runner sweeps.
 
-use gis_core::{ExecOptions, JoinStrategy, OptimizerOptions};
+use gis_core::{ExecOptions, JoinStrategy, OptimizerOptions, QueryCtx};
 
 /// How a configuration is driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// One `Federation::query_with` call over a clean network.
+    /// One `Federation::run` call over a clean network.
     Direct,
     /// Through a runtime session with plan + result caching on; the
     /// query runs twice so both the cache-miss and cache-hit paths
@@ -48,6 +48,13 @@ pub struct EngineConfig {
     pub exec: ExecOptions,
     /// Drive mode.
     pub mode: Mode,
+}
+
+impl EngineConfig {
+    /// This configuration's options as an ad-hoc query envelope.
+    pub fn ctx(&self) -> QueryCtx<'static> {
+        QueryCtx::new(self.optimizer, self.exec)
+    }
 }
 
 /// The reference oracle: every optimization off, ship-whole joins,

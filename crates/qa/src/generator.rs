@@ -7,7 +7,7 @@
 //! multi-source equi-joins, predicate shapes the pushdown rule moves
 //! (LIKE with Unicode/NUL patterns, arithmetic, scalar functions,
 //! BETWEEN/IN/IS NULL), GROUP BY with aggregates and HAVING, DISTINCT,
-//! UNION [ALL], derived tables, IN-subqueries, and ORDER BY with
+//! UNION \[ALL\], derived tables, IN-subqueries, and ORDER BY with
 //! LIMIT/OFFSET.
 //!
 //! Two generation rules keep every query *comparable across plans*:

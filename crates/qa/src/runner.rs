@@ -20,7 +20,7 @@
 use crate::config::{matrix, oracle, EngineConfig, Mode};
 use crate::generator::QueryGen;
 use crate::shrink;
-use gis_core::Federation;
+use gis_core::{Federation, QueryCtx};
 use gis_datagen::{build_fedmart, FedMart, FedMartConfig};
 use gis_net::BreakerConfig;
 use gis_runtime::{Runtime, RuntimeConfig, Session};
@@ -272,10 +272,7 @@ impl Harness {
     }
 
     fn run_direct(&self, sql: &str, cfg: &EngineConfig, order: &[OrderByExpr]) -> RunRows {
-        self.fed
-            .query_with(sql, &cfg.optimizer, &cfg.exec)
-            .map_err(|e| e.to_string())
-            .and_then(|r| checked_rows(&r.batch, order))
+        run_rows(&self.fed, sql, &cfg.ctx(), order)
     }
 
     fn run_cached(&self, sql: &str, order: &[OrderByExpr]) -> RunRows {
@@ -304,10 +301,11 @@ impl Harness {
         order: &[OrderByExpr],
     ) -> RunRows {
         let budget = MemBudget::standalone(TIGHT_BUDGET, spill_cap);
-        self.fed
-            .query_with_budget(sql, &cfg.optimizer, &cfg.exec, &budget)
-            .map_err(|e| e.to_string())
-            .and_then(|r| checked_rows(&r.batch, order))
+        let ctx = QueryCtx {
+            budget: &budget,
+            ..cfg.ctx()
+        };
+        run_rows(&self.fed, sql, &ctx, order)
     }
 
     fn run_faulted(
@@ -341,11 +339,7 @@ impl Harness {
         // federation default is compression on) then differentials
         // the adaptive wire codecs for free, on every query.
         self.fed.set_wire_compression(false);
-        let oracle_rows = self
-            .fed
-            .query_with(sql, &opt, &exec)
-            .map_err(|e| e.to_string())
-            .and_then(|r| checked_rows(&r.batch, order));
+        let oracle_rows = run_rows(&self.fed, sql, &QueryCtx::new(opt, exec), order);
         self.fed.set_wire_compression(true);
         let runs = self
             .configs
@@ -366,11 +360,7 @@ impl Harness {
                         self.fed.set_wire_compression(true);
                         self.run_direct(sql, cfg, order)
                     }
-                    Mode::Analyzed => self
-                        .analyzed_fed
-                        .query_with(sql, &cfg.optimizer, &cfg.exec)
-                        .map_err(|e| e.to_string())
-                        .and_then(|r| checked_rows(&r.batch, order)),
+                    Mode::Analyzed => run_rows(&self.analyzed_fed, sql, &cfg.ctx(), order),
                 },
             })
             .collect();
@@ -508,6 +498,13 @@ fn output_sort_keys(order: &[OrderByExpr], schema: &Schema) -> Vec<SortKey> {
             Some(SortKey::new(column, o.asc, o.nulls_first.unwrap_or(true)))
         })
         .collect()
+}
+
+/// One statement through `fed` under `ctx`, as checked canonical rows.
+fn run_rows(fed: &Federation, sql: &str, ctx: &QueryCtx<'_>, order: &[OrderByExpr]) -> RunRows {
+    fed.run(sql, ctx)
+        .map_err(|e| e.to_string())
+        .and_then(|r| checked_rows(&r.batch, order))
 }
 
 /// The emitted answer in canonical (sorted) form — after checking that

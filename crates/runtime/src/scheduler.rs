@@ -12,7 +12,7 @@ use crate::result_cache::{ResultCache, ResultKey};
 use crate::slow_log::{SlowLog, SlowQueryEntry};
 use crate::stats::RuntimeStats;
 use crate::RuntimeConfig;
-use gis_core::{ExecOptions, Federation, OptimizerOptions, QueryMetrics, QueryResult};
+use gis_core::{ExecOptions, Federation, OptimizerOptions, QueryCtx, QueryMetrics, QueryResult};
 use gis_sql::ast::Statement;
 use gis_types::mem::{MemBudget, MemPool};
 use gis_types::{GisError, Result};
@@ -199,14 +199,6 @@ fn run_job(shared: &Shared, job: &Job, queue_wait_us: u64) -> Result<QueryResult
         }
     }
     let started = Instant::now();
-    // With the slow log armed, every query traces: the span tree must
-    // already exist by the time a query turns out to be slow. Applied
-    // before the exec fingerprint, so traced and untraced runs never
-    // share a result-cache slot.
-    let mut exec = job.exec;
-    if shared.config.slow_query_us.is_some() {
-        exec.tracing = true;
-    }
     // Every job executes under its own memory budget drawing on the
     // shared pool; dropping the budget (any exit path) releases the
     // pool bytes it charged.
@@ -216,23 +208,36 @@ fn run_job(shared: &Shared, job: &Job, queue_wait_us: u64) -> Result<QueryResult
         shared.config.spill_dir.clone(),
         shared.config.spill_cap,
     );
+    // The job's envelope, built once: the session's options, the
+    // query id and deadline it was admitted under, and its budget.
+    let mut ctx = QueryCtx {
+        optimizer: job.optimizer,
+        exec: job.exec,
+        query_id: job.query_id,
+        deadline: job.deadline,
+        budget: &budget,
+    };
+    // With the slow log armed, every query traces: the span tree must
+    // already exist by the time a query turns out to be slow. Applied
+    // before the exec fingerprint, so traced and untraced runs never
+    // share a result-cache slot.
+    if shared.config.slow_query_us.is_some() {
+        ctx.exec.tracing = true;
+    }
     let stmt = gis_sql::parse(&job.sql)?;
     if !matches!(stmt, Statement::Query(_)) {
         // EXPLAIN and friends bypass both caches: they are about the
         // *current* plan, and their output is cheap.
-        let outcome = shared
-            .federation
-            .query_with_budget(&job.sql, &job.optimizer, &exec, &budget);
+        let outcome = shared.federation.run_statement(&stmt, &ctx);
         note_spills(shared, &budget);
         let mut result = outcome?;
-        result.metrics.query_id = job.query_id;
         result.metrics.queue_wait_us = queue_wait_us;
         return Ok(result);
     }
 
     // Frontend: plan cache, or parse→bind→optimize on miss.
     let catalog_version = shared.federation.catalog_version();
-    let key = PlanKey::new(&job.sql, catalog_version, &job.optimizer);
+    let key = PlanKey::new(&job.sql, catalog_version, &ctx.optimizer);
     // Kept past the plan-cache insert (which consumes `key`): the
     // result cache verifies it on every hit, since its fingerprints
     // alone can collide.
@@ -244,7 +249,7 @@ fn run_job(shared: &Shared, job: &Job, queue_wait_us: u64) -> Result<QueryResult
                 let plan = Arc::new(
                     shared
                         .federation
-                        .plan_statement_with(&stmt, &job.optimizer)?,
+                        .plan_statement_with(&stmt, &ctx.optimizer)?,
                 );
                 let fp = plan_fingerprint(&key);
                 shared.plan_cache.put(key, plan.clone(), fp);
@@ -256,7 +261,7 @@ fn run_job(shared: &Shared, job: &Job, queue_wait_us: u64) -> Result<QueryResult
         let plan = Arc::new(
             shared
                 .federation
-                .plan_statement_with(&stmt, &job.optimizer)?,
+                .plan_statement_with(&stmt, &ctx.optimizer)?,
         );
         (plan, plan_fingerprint(&key), false)
     };
@@ -265,7 +270,7 @@ fn run_job(shared: &Shared, job: &Job, queue_wait_us: u64) -> Result<QueryResult
     // every source still reports the versions pinned at execution.
     let result_key = ResultKey {
         plan_fp,
-        exec_fp: debug_fingerprint(&exec),
+        exec_fp: debug_fingerprint(&ctx.exec),
     };
     // Pin only the sources this plan actually reads: a write to an
     // unrelated source must not evict (or block reuse of) the entry.
@@ -299,13 +304,7 @@ fn run_job(shared: &Shared, job: &Job, queue_wait_us: u64) -> Result<QueryResult
     }
 
     // Backend: execute under the job's deadline, query id and budget.
-    let outcome = shared.federation.execute_logical_governed(
-        &plan,
-        &exec,
-        job.query_id,
-        job.deadline,
-        &budget,
-    );
+    let outcome = shared.federation.execute(&plan, &ctx);
     note_spills(shared, &budget);
     let mut result = outcome?;
     result.metrics.plan_cache_hit = plan_cache_hit;

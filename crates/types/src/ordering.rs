@@ -169,8 +169,8 @@ pub fn is_sorted(batch: &Batch, keys: &[SortKey]) -> bool {
 /// Width of the byte-comparable prefix.
 const PREFIX_BYTES: usize = 16;
 
-/// One row of a sort: the leading [`PREFIX_BYTES`] of its encoded keys
-/// and its index in the input. The derived order — prefix, then row —
+/// One row of a sort: the leading 16 bytes of its encoded keys and its
+/// index in the input. The derived order — prefix, then row —
 /// is the whole order when the prefix is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SortEntry {

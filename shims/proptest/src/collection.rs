@@ -5,7 +5,7 @@ use crate::test_runner::TestRunner;
 use rand::RngExt;
 use std::ops::{Range, RangeInclusive};
 
-/// An element-count range for [`vec`].
+/// An element-count range for [`vec()`].
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     min: usize,
@@ -47,7 +47,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

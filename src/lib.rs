@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use gis_catalog::{CapabilityProfile, ColumnMapping, TableMapping, Transform};
     pub use gis_core::{
-        DegradedReport, ExecOptions, Federation, JoinStrategy, OptimizerOptions, QueryMetrics,
-        QueryResult,
+        DegradedReport, ExecOptions, Federation, JoinStrategy, OptimizerOptions, QueryCtx,
+        QueryMetrics, QueryResult,
     };
     pub use gis_datagen::{build_fedmart, FedMart, FedMartConfig};
     pub use gis_net::{BreakerConfig, BreakerState, NetworkConditions, RetryPolicy};

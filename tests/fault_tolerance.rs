@@ -59,7 +59,7 @@ fn queries_survive_transient_failures() {
         sort: vec![],
         limit: None,
     };
-    let batches = remote.execute(&req).unwrap();
+    let (batches, _) = remote.fetch(&req, false, None).unwrap();
     let total: usize = batches.iter().map(|b| b.num_rows()).sum();
     assert_eq!(total, 10);
     assert_eq!(remote.link().metrics().failures(), 2);
@@ -76,10 +76,10 @@ fn partition_fails_after_retries_with_retryable_error() {
         sort: vec![],
         limit: None,
     };
-    let err = remote.execute(&req).unwrap_err();
+    let err = remote.fetch(&req, false, None).unwrap_err();
     assert!(err.is_retryable());
     remote.link().faults().heal();
-    assert!(remote.execute(&req).is_ok());
+    assert!(remote.fetch(&req, false, None).is_ok());
 }
 
 #[test]
@@ -95,7 +95,7 @@ fn periodic_faults_slow_but_do_not_break() {
     };
     // Several queries in a row: retries absorb the periodic faults.
     for _ in 0..10 {
-        let batches = remote.execute(&req).unwrap();
+        let (batches, _) = remote.fetch(&req, false, None).unwrap();
         assert_eq!(batches.iter().map(|b| b.num_rows()).sum::<usize>(), 10);
     }
     assert!(remote.link().metrics().failures() > 0);

@@ -65,12 +65,9 @@ fn fed_with_adapters() -> (
 /// Runs `sql` with view matching disabled — the source-answered
 /// baseline every view-answered result is diffed against.
 fn source_path(fed: &Federation, sql: &str) -> QueryResult {
-    let exec = ExecOptions {
-        view_matching: false,
-        ..fed.exec_options()
-    };
-    fed.query_with(sql, &fed.optimizer_options(), &exec)
-        .unwrap()
+    let mut ctx = fed.ctx();
+    ctx.exec.view_matching = false;
+    fed.run(sql, &ctx).unwrap()
 }
 
 const JOIN_SQL: &str = "SELECT c.region, sum(o.amount) AS revenue \

@@ -249,6 +249,28 @@ fn killed_queries_never_enter_the_result_cache() {
     assert_eq!(stats.result_cache_hits, 0);
 }
 
+/// `EXPLAIN ANALYZE` executes under the session's budget like the
+/// query it wraps: with spilling off, a 1-byte hard limit kills it
+/// with `MEM`, it is counted as a kill, and the pool drains to zero.
+#[test]
+fn explain_analyze_dies_under_a_killed_budget() {
+    let fm = fedmart();
+    let runtime = Runtime::new(
+        Arc::new(fm.federation),
+        RuntimeConfig::default()
+            .with_query_mem_limit(1)
+            .with_spill_cap(0),
+    );
+    let err = runtime
+        .session()
+        .query(&format!("EXPLAIN ANALYZE {HASH_HEAVY}"))
+        .unwrap_err();
+    assert_eq!(err.code(), "MEM", "{err}");
+    let stats = runtime.stats();
+    assert_eq!(stats.mem_killed, 1);
+    assert_eq!(stats.mem_pool_used, 0, "pool must be fully reclaimed");
+}
+
 /// EXPLAIN ANALYZE on a governed runtime annotates spilling kernels
 /// with `mem[...]` and `spill[...]` spans.
 #[test]

@@ -84,6 +84,139 @@ fn tracing_preserves_results_and_meters_its_own_traffic() {
     assert!(traced.metrics.messages > plain.metrics.messages);
 }
 
+/// `tests/fetch_path_pinned.rs`'s three statements, each with the span
+/// tree a traced run renders — every label, row count and nesting
+/// level, with wall times (and the kernel phase timings inside
+/// `kernel[…]` labels) left out.
+const TRACED_SHAPES: [(&str, &str); 3] = [
+    (
+        "SELECT c.name, o.order_id, o.amount FROM customers c \
+         JOIN orders o ON c.id = o.cust_id WHERE c.balance > 45000.00",
+        r"Project: #0, #1, #2 rows_in=45 rows=45
+  Project: #1, #2, #4 rows_in=45 rows=45
+    BindJoin[semijoin→sales INNER JOIN] rows_in=49 rows=45
+      Fragment[crm] rows_in=4 rows=4
+        recv[crm] rows_in=0 rows=4
+          remote:scan[customers] rows_in=0 rows=4
+          wire[codec=nullsup*2 raw=93 sent=84] rows_in=0 rows=0
+      keyship[mode=keys n=4] rows_in=0 rows=0
+      recv[sales] rows_in=0 rows=45
+        remote:lookup[orders keys=4] rows_in=0 rows=45
+        wire[codec=rle*1,delta*1,nullsup*1 raw=1139 sent=490] rows_in=0 rows=0
+      kernel[fixed]: partitions=1 rows_in=0 rows=0
+",
+    ),
+    (
+        "SELECT c.region, count(*) AS n, sum(o.amount) AS rev FROM customers c \
+         JOIN orders o ON c.id = o.cust_id WHERE o.order_day >= DATE '2019-07-20' \
+         GROUP BY c.region",
+        r"Project: #0, #1, #2 rows_in=8 rows=8
+  HashAggregate: group=[#0] aggs=[count(*), sum(#1)] rows_in=933 rows=8
+    Project: #1, #3 rows_in=933 rows=933
+      BindJoin[semijoin→sales INNER JOIN] rows_in=1100 rows=933
+        Fragment[crm] rows_in=100 rows=100
+          recv[crm] rows_in=0 rows=100
+            remote:scan[customers] rows_in=0 rows=100
+            wire[codec=dict*1,delta*1 raw=1195 sent=189] rows_in=0 rows=0
+        keyship[mode=bloom n=100 filter=120B keys=336B] rows_in=0 rows=0
+        recv[sales] rows_in=0 rows=1000
+          remote:filter[orders bloom=120B] rows_in=0 rows=1000
+          wire[codec=delta*2,nullsup*1 raw=20421 sent=10553] rows_in=0 rows=0
+        kernel[fixed]: partitions=1 rows_in=0 rows=0
+    kernel[fixed]: partitions=1 rows_in=0 rows=0
+",
+    ),
+    (
+        "SELECT c.region, p.category, sum(o.amount) AS rev FROM customers c \
+         JOIN orders o ON c.id = o.cust_id JOIN products p ON o.product_id = p.product_id \
+         WHERE o.order_day >= DATE '2019-06-01' GROUP BY c.region, p.category",
+        r"Project: #0, #1, #2 rows_in=48 rows=48
+  HashAggregate: group=[#0, #2] aggs=[sum(#1)] rows_in=967 rows=48
+    Project: #1, #4, #6 rows_in=967 rows=967
+      HashJoin[INNER JOIN]: left[3] = right[0] rows_in=987 rows=967
+        BindJoin[semijoin→sales INNER JOIN] rows_in=1100 rows=967
+          Fragment[crm] rows_in=100 rows=100
+            recv[crm] rows_in=0 rows=100
+              remote:scan[customers] rows_in=0 rows=100
+              wire[codec=dict*1,delta*1 raw=1195 sent=189] rows_in=0 rows=0
+          keyship[mode=keys n=100] rows_in=0 rows=0
+          recv[sales] rows_in=0 rows=1000
+            remote:lookup[orders keys=100] rows_in=0 rows=1000
+            wire[codec=rle*1,delta*2,nullsup*1 raw=28563 sent=10615] rows_in=0 rows=0
+          kernel[fixed]: partitions=1 rows_in=0 rows=0
+        Fragment[inventory] rows_in=20 rows=20
+          recv[inventory] rows_in=0 rows=20
+            remote:scan[products] rows_in=0 rows=20
+            wire[codec=dict*1,delta*2,nullsup*1 raw=777 sent=425] rows_in=0 rows=0
+        kernel[fixed]: partitions=1 rows_in=0 rows=0
+    kernel[hashed]: partitions=1 rows_in=0 rows=0
+",
+    ),
+];
+
+/// One line per span: label (cut before the kernel phase timings),
+/// rows in and rows out.
+fn span_shape(span: &Span, depth: usize, out: &mut String) {
+    let label = span.label.split(" build=").next().unwrap_or_default();
+    out.push_str(&"  ".repeat(depth));
+    out.push_str(&format!(
+        "{label} rows_in={} rows={}\n",
+        span.rows_in, span.rows_out
+    ));
+    for child in &span.children {
+        span_shape(child, depth + 1, out);
+    }
+}
+
+/// The wire size of every source-reported span below `span`: each
+/// `recv[…]` exchange carried its `remote:` child back as one frame.
+fn span_frames(span: &Span, frames: &mut Vec<u64>) {
+    if span.label.starts_with("recv[") {
+        let reported = &span.children[0];
+        assert!(reported.label.starts_with("remote:"), "{}", span.render());
+        frames.push(gis::net::wire::encode_span(reported).len() as u64);
+    }
+    for child in &span.children {
+        span_frames(child, frames);
+    }
+}
+
+/// There is one fetch path, and tracing is a flag on it, not a fork:
+/// a traced run returns the untraced run's rows, puts exactly one more
+/// frame on the wire per exchange — the span the source reported —
+/// and stitches the same tree, label for label, as before the
+/// wrappers' traced and untraced variants were merged.
+#[test]
+fn tracing_costs_exactly_the_span_frames_and_keeps_the_tree() {
+    let fed = fedmart().federation;
+    for (sql, shape) in TRACED_SHAPES {
+        let plain = fed.query(sql).unwrap();
+        let mut ctx = fed.ctx();
+        ctx.exec.tracing = true;
+        let traced = fed.run(sql, &ctx).unwrap();
+        assert_eq!(plain.batch.to_rows(), traced.batch.to_rows(), "{sql}");
+
+        let trace = traced.metrics.trace.as_ref().expect("traced run");
+        let mut frames = Vec::new();
+        span_frames(trace, &mut frames);
+        assert_eq!(
+            traced.metrics.messages - plain.metrics.messages,
+            frames.len() as u64,
+            "{sql}"
+        );
+        assert_eq!(
+            traced.metrics.bytes_wire - plain.metrics.bytes_wire,
+            frames.iter().sum::<u64>(),
+            "{sql}"
+        );
+        assert_eq!(trace.total_bytes(), traced.metrics.bytes_wire, "{sql}");
+
+        let mut got = String::new();
+        span_shape(trace, 0, &mut got);
+        assert_eq!(got, shape, "{sql}");
+    }
+}
+
 #[test]
 fn slow_query_log_captures_plan_and_spans() {
     let fm = fedmart();

@@ -204,6 +204,34 @@ fn session_options_do_not_leak_into_shared_state() {
     );
 }
 
+/// The result-cache key covers the execution options a job actually
+/// ran under, `tracing` included: a traced and an untraced session
+/// never share a slot, so neither is served the other's answer.
+#[test]
+fn traced_and_untraced_sessions_never_share_a_result_slot() {
+    let (fed, _crm) = fed_with_adapter();
+    let runtime = Runtime::new(fed.clone(), RuntimeConfig::default());
+    let mut traced = runtime.session();
+    traced.set_exec_options(ExecOptions {
+        tracing: true,
+        ..fed.exec_options()
+    });
+    let plain = runtime.session();
+
+    let sql = "SELECT region, count(*) FROM customers GROUP BY region ORDER BY region";
+    let first = traced.query(sql).unwrap();
+    assert!(first.metrics.trace.is_some());
+    let other = plain.query(sql).unwrap();
+    assert!(other.metrics.plan_cache_hit, "the plan is shared");
+    assert!(!other.metrics.result_cache_hit, "the result slot is not");
+    assert!(other.metrics.trace.is_none());
+    assert_eq!(first.batch.to_rows(), other.batch.to_rows());
+    // Each session's repeat is served from its own slot.
+    assert!(traced.query(sql).unwrap().metrics.result_cache_hit);
+    assert!(plain.query(sql).unwrap().metrics.result_cache_hit);
+    assert_eq!(runtime.stats().result_cache_hits, 2);
+}
+
 #[test]
 fn explain_bypasses_caches() {
     let (fed, _crm) = fed_with_adapter();

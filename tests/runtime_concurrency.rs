@@ -185,6 +185,55 @@ fn deadlines_cancel_queries() {
     assert!(session.query("SELECT count(*) FROM orders").is_ok());
 }
 
+const EXPLAIN_ANALYZE_JOIN: &str = "EXPLAIN ANALYZE SELECT c.region, count(*) AS n \
+     FROM customers c JOIN orders o ON c.id = o.cust_id GROUP BY c.region";
+
+/// `EXPLAIN ANALYZE` executes, so the envelope's deadline governs it
+/// like any query. It used to run with no deadline at all.
+#[test]
+fn explain_analyze_honours_the_callers_deadline() {
+    let fm = gis::datagen::build_fedmart(FedMartConfig::tiny()).unwrap();
+    let fed = fm.federation;
+    let expired = QueryCtx {
+        deadline: Some(std::time::Instant::now()),
+        ..fed.ctx()
+    };
+    let err = fed.run(EXPLAIN_ANALYZE_JOIN, &expired).unwrap_err();
+    assert!(matches!(err, GisError::Deadline(_)), "{err}");
+    assert!(fed.run(EXPLAIN_ANALYZE_JOIN, &fed.ctx()).is_ok());
+}
+
+/// The same through a session: a deadline that outlives the queue but
+/// not the first paced WAN fetch cancels the statement at the next
+/// operator, under the session's query id, and is counted.
+#[test]
+fn session_deadline_and_query_id_govern_explain_analyze() {
+    let fm = gis::datagen::build_fedmart(FedMartConfig {
+        conditions: NetworkConditions {
+            latency_us: 100_000,
+            bandwidth_bytes_per_sec: 0,
+        },
+        ..FedMartConfig::tiny()
+    })
+    .unwrap();
+    // Every virtual microsecond costs a host one: the first 100 ms
+    // message already outlasts the deadline below.
+    fm.federation.clock().set_pace_permille(1_000);
+    let runtime = Runtime::new(Arc::new(fm.federation), RuntimeConfig::default());
+    let mut session = runtime.session();
+    session.set_deadline(Some(Duration::from_millis(50)));
+    let pending = session.submit(EXPLAIN_ANALYZE_JOIN).unwrap();
+    let id = pending.query_id();
+    let err = pending.wait().unwrap_err();
+    assert_eq!(err.code(), "DEADLINE", "{err}");
+    assert!(
+        err.to_string()
+            .contains(&format!("query {id} exceeded its deadline")),
+        "cancelled under another id: {err}"
+    );
+    assert_eq!(runtime.stats().deadline_expired, 1);
+}
+
 /// Shutdown completes in-flight queries and fails queued ones loudly.
 #[test]
 fn shutdown_drains_cleanly() {

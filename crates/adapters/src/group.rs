@@ -117,20 +117,22 @@ impl SourceGroup {
     /// order. Availability failures (`NETWORK`, `UNAVAILABLE`) move to
     /// the next replica; anything else returns immediately. When every
     /// replica fails, the last availability error is returned.
-    /// `traced` and `deadline` are as for [`RemoteSource::fetch`]; the
-    /// deadline also stops the walk over replicas.
+    /// `schema`, `traced` and `deadline` are as for
+    /// [`RemoteSource::fetch`]; the deadline also stops the walk over
+    /// replicas.
     pub fn fetch(
         &self,
         request: &SourceRequest,
+        schema: &SchemaRef,
         traced: bool,
         deadline: Option<Instant>,
-    ) -> Result<(Vec<Batch>, Option<Span>)> {
+    ) -> Result<(Batch, Option<Span>)> {
         let mut failover_events: Vec<Span> = Vec::new();
         let mut last_err: Option<GisError> = None;
         for idx in self.preference_order() {
             let replica = &self.replicas[idx];
-            match replica.fetch(request, traced, deadline) {
-                Ok((batches, span)) => {
+            match replica.fetch(request, schema, traced, deadline) {
+                Ok((batch, span)) => {
                     // Failover events ride on the winning replica's
                     // recv span, so EXPLAIN ANALYZE names the replicas
                     // that were skipped over.
@@ -138,7 +140,7 @@ impl SourceGroup {
                         s.children.append(&mut failover_events);
                         s
                     });
-                    return Ok((batches, span));
+                    return Ok((batch, span));
                 }
                 Err(e) if is_availability_error(&e) => {
                     if traced {
@@ -159,19 +161,6 @@ impl SourceGroup {
             }
         }
         Err(last_err.unwrap_or_else(|| GisError::Internal("source group has no replicas".into())))
-    }
-
-    /// [`SourceGroup::fetch`], with the response chunks concatenated
-    /// into one batch of `schema`.
-    pub fn fetch_all(
-        &self,
-        request: &SourceRequest,
-        schema: SchemaRef,
-        traced: bool,
-        deadline: Option<Instant>,
-    ) -> Result<(Batch, Option<Span>)> {
-        let (batches, span) = self.fetch(request, traced, deadline)?;
-        Ok((Batch::concat(schema, &batches)?, span))
     }
 }
 
@@ -241,7 +230,7 @@ mod tests {
         );
         assert_eq!(g.best_conditions(), NetworkConditions::lan());
         let schema = g.adapter().table_schema("customers").unwrap();
-        let (batch, span) = g.fetch_all(&scan_all(), schema, false, None).unwrap();
+        let (batch, span) = g.fetch(&scan_all(), &schema, false, None).unwrap();
         assert!(span.is_none(), "an untraced fetch builds no span");
         assert_eq!(batch.num_rows(), 50);
         assert_eq!(g.replicas()[0].link().metrics().messages(), 0);
@@ -249,14 +238,15 @@ mod tests {
     }
 
     #[test]
-    fn fetch_all_concatenates() {
+    fn fetch_returns_one_batch_of_every_chunk() {
         let link = Link::new("crm", NetworkConditions::instant(), SimClock::new());
         let g = SourceGroup::new(RemoteSource::new(adapter(), link).with_chunk_rows(20));
         let schema = g.adapter().table_schema("customers").unwrap();
-        let (chunks, _) = g.fetch(&scan_all(), false, None).unwrap();
-        assert_eq!(chunks.len(), 3, "50 rows in chunks of 20");
-        let (batch, _) = g.fetch_all(&scan_all(), schema, false, None).unwrap();
+        let (batch, _) = g.fetch(&scan_all(), &schema, false, None).unwrap();
+        // 50 rows in chunks of 20: one request, three response messages.
+        assert_eq!(g.link().metrics().messages(), 4);
         assert_eq!(batch.num_rows(), 50);
+        assert_eq!(batch.schema(), &schema);
         assert_eq!(batch.row(49).value(0), Value::Int64(49));
     }
 
@@ -269,7 +259,7 @@ mod tests {
         );
         g.replicas()[0].link().faults().partition();
         let schema = g.adapter().table_schema("customers").unwrap();
-        let (batch, span) = g.fetch_all(&scan_all(), schema, true, None).unwrap();
+        let (batch, span) = g.fetch(&scan_all(), &schema, true, None).unwrap();
         let span = span.expect("a traced fetch reports a recv span");
         assert_eq!(batch.num_rows(), 50, "answered by the surviving replica");
         assert!(span.find("event:failover[crm NETWORK]").is_some());
@@ -290,14 +280,13 @@ mod tests {
         g.replicas()[0].link().faults().partition();
         // Trip the breaker on the fast replica.
         let schema = g.adapter().table_schema("customers").unwrap();
-        g.fetch_all(&scan_all(), schema.clone(), false, None)
-            .unwrap();
+        g.fetch(&scan_all(), &schema, false, None).unwrap();
         assert_eq!(g.replicas()[0].link().breaker_state(), BreakerState::Open);
         // Now the wan replica is preferred — the partitioned lan one
         // is not even probed (zero additional failures).
         let before = g.replicas()[0].link().metrics().failures();
         assert_eq!(g.best_conditions(), NetworkConditions::wan());
-        g.fetch_all(&scan_all(), schema, false, None).unwrap();
+        g.fetch(&scan_all(), &schema, false, None).unwrap();
         assert_eq!(g.replicas()[0].link().metrics().failures(), before);
     }
 
@@ -312,7 +301,7 @@ mod tests {
             r.link().faults().partition();
         }
         let schema = g.adapter().table_schema("customers").unwrap();
-        let err = g.fetch_all(&scan_all(), schema, false, None).unwrap_err();
+        let err = g.fetch(&scan_all(), &schema, false, None).unwrap_err();
         assert!(is_availability_error(&err));
         assert_eq!(g.replicas()[0].link().metrics().failures(), 3);
         assert_eq!(g.replicas()[1].link().metrics().failures(), 3);
@@ -333,7 +322,7 @@ mod tests {
             limit: None,
         };
         let schema = g.adapter().table_schema("customers").unwrap();
-        let err = g.fetch_all(&bad, schema, false, None).unwrap_err();
+        let err = g.fetch(&bad, &schema, false, None).unwrap_err();
         assert!(!is_availability_error(&err));
         // The second replica never saw the request.
         assert_eq!(g.replicas()[1].link().metrics().messages(), 0);

@@ -5,8 +5,10 @@
 //!
 //! 1. serializes the request (counted as request bytes + one message),
 //! 2. runs the adapter *at the source*,
-//! 3. chunks the result into batches of `chunk_rows` and ships each
-//!    chunk as one message (counted as response bytes),
+//! 3. ships the result `chunk_rows` rows per message (counted as
+//!    response bytes), each frame encoded from the adapter's batch
+//!    where it lies and decoded onto the end of the one batch the
+//!    fetch returns,
 //! 4. retries transient network failures under a [`RetryPolicy`] —
 //!    re-paying the request cost each time, as a real mediator would,
 //!    charging exponential backoff to the virtual clock, and giving up
@@ -19,7 +21,7 @@
 use crate::request::{SourceAdapter, SourceRequest};
 use crate::wire_req::{decode_request, encode_request};
 use bytes::BytesMut;
-use gis_net::codec::{decode_frame, encode_frame_into, encode_legacy_into, FrameStats};
+use gis_net::codec::{encode_range_into, FrameSink, FrameStats};
 use gis_net::wire::{decode_span, encode_span};
 use gis_net::{Link, RetryPolicy, WireStats};
 use gis_observe::Span;
@@ -129,7 +131,10 @@ impl RemoteSource {
     }
 
     /// Ships `request`, executes it at the source, and returns the
-    /// response batches, accounting all traffic on the link.
+    /// response — every message of it, as one batch of `schema`, the
+    /// layout the caller expects back
+    /// ([`SourceRequest::output_schema`]) — accounting all traffic on
+    /// the link. A frame of other column types fails the attempt.
     ///
     /// `traced` asks for a `recv` span for the exchange: bytes and
     /// messages on the wire, rows received, host-side wall time, and —
@@ -141,24 +146,25 @@ impl RemoteSource {
     pub fn fetch(
         &self,
         request: &SourceRequest,
+        schema: &SchemaRef,
         traced: bool,
         deadline: Option<Instant>,
-    ) -> Result<(Vec<Batch>, Option<Span>)> {
+    ) -> Result<(Batch, Option<Span>)> {
         let clock = self.link.clock();
         let started_us = clock.now_us();
         let max_attempts = self.retry.max_attempts.max(1);
         let mut retry_events: Vec<Span> = Vec::new();
         let mut attempt = 1u32;
         loop {
-            match self.try_execute(request, traced) {
-                Ok((batches, span)) => {
+            match self.try_execute(request, schema, traced) {
+                Ok((batch, span)) => {
                     // Retry events ride on the recv span so EXPLAIN
                     // ANALYZE shows what the exchange survived.
                     let span = span.map(|mut s| {
                         s.children.append(&mut retry_events);
                         s
                     });
-                    return Ok((batches, span));
+                    return Ok((batch, span));
                 }
                 Err(e) if e.is_retryable() => {
                     if attempt >= max_attempts {
@@ -191,11 +197,14 @@ impl RemoteSource {
         }
     }
 
+    /// One attempt: its frames land in builders of its own, so a
+    /// retried attempt starts from nothing.
     fn try_execute(
         &self,
         request: &SourceRequest,
+        schema: &SchemaRef,
         traced: bool,
-    ) -> Result<(Vec<Batch>, Option<Span>)> {
+    ) -> Result<(Batch, Option<Span>)> {
         let started = traced.then(Instant::now);
         let compress = self.compress.load(Ordering::Relaxed);
         let mut wire_bytes = 0u64;
@@ -217,37 +226,28 @@ impl RemoteSource {
                 .with_rows_out(rows)
                 .with_wall_us(t.elapsed().as_micros() as u64)
         });
-        // Ship results back in chunks, one scratch buffer for the
-        // whole stream (split().freeze() hands each frame off without
-        // reallocating the encoder's working space). The link is
-        // charged the frame as it actually crossed the wire, with the
-        // raw (legacy-layout) size recorded alongside.
-        let mut out = Vec::new();
+        // Ship results back `chunk_rows` rows a message, one scratch
+        // buffer for the whole stream (split().freeze() hands each
+        // frame off without reallocating the encoder's working space).
+        // The link is charged the frame as it actually crossed the
+        // wire, with the raw (legacy-layout) size recorded alongside.
+        // Each frame is encoded from its row range of the source's
+        // batch and decoded onto the end of `received`: no per-chunk
+        // copy on either side of the wire.
+        let mut received = FrameSink::new(schema.clone());
         let mut scratch = BytesMut::new();
-        for batch in results {
+        for batch in &results {
             let mut offset = 0;
             loop {
-                // An empty result still ships one (small) message. A
-                // result that fits one message is encoded as it is:
-                // `slice` copies every column.
-                let sliced;
-                let chunk = if batch.num_rows() <= self.chunk_rows {
-                    &batch
-                } else {
-                    sliced = batch.slice(offset, self.chunk_rows);
-                    &sliced
-                };
-                offset += chunk.num_rows();
-                let stats = if compress {
-                    encode_frame_into(&mut scratch, chunk)
-                } else {
-                    encode_legacy_into(&mut scratch, chunk)
-                };
+                // An empty result still ships one (small) message.
+                let rows = self.chunk_rows.min(batch.num_rows() - offset);
+                let stats = encode_range_into(&mut scratch, batch, offset, rows, compress);
                 let frame = scratch.split().freeze();
                 wire_bytes += frame.len() as u64;
                 exchange.absorb(&stats);
                 self.link.transfer_sized(frame.len(), stats.raw)?;
-                out.push(decode_frame(frame)?);
+                received.append(&frame)?;
+                offset += rows;
                 if offset >= batch.num_rows() {
                     break;
                 }
@@ -261,10 +261,9 @@ impl RemoteSource {
                 wire_bytes += frame.len() as u64;
                 self.link.transfer(frame.len())?;
                 let source_span = decode_span(frame)?;
-                let rows: u64 = out.iter().map(|b| b.num_rows() as u64).sum();
                 Some(
                     Span::leaf(format!("recv[{}]", self.name()))
-                        .with_rows_out(rows)
+                        .with_rows_out(received.num_rows() as u64)
                         .with_bytes(wire_bytes)
                         .with_wall_us(started.map(|t| t.elapsed().as_micros() as u64).unwrap_or(0))
                         .with_child(source_span)
@@ -278,7 +277,7 @@ impl RemoteSource {
             }
             None => None,
         };
-        Ok((out, span))
+        Ok((received.finish()?, span))
     }
 
     /// Fetches a table's export schema *across the link* (used at
@@ -355,6 +354,18 @@ mod tests {
         RemoteSource::new(Arc::new(a), Link::new("crm", conditions, clock)).with_chunk_rows(30)
     }
 
+    /// [`RemoteSource::fetch`] of `request` into the `customers`
+    /// layout.
+    fn fetch(
+        r: &RemoteSource,
+        request: &SourceRequest,
+        traced: bool,
+        deadline: Option<Instant>,
+    ) -> Result<(Batch, Option<Span>)> {
+        let schema = r.adapter().table_schema("customers")?;
+        r.fetch(request, &schema, traced, deadline)
+    }
+
     fn scan_all() -> SourceRequest {
         SourceRequest::Scan {
             table: "customers".into(),
@@ -369,14 +380,14 @@ mod tests {
     fn execute_chunks_and_meters() {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
-        let (batches, span) = r.fetch(&scan_all(), false, None).unwrap();
+        let (batch, span) = fetch(&r, &scan_all(), false, None).unwrap();
         assert!(span.is_none(), "an untraced fetch builds no span");
-        // 100 rows in chunks of 30 => 4 response messages
-        assert_eq!(batches.len(), 4);
-        let total: usize = batches.iter().map(Batch::num_rows).sum();
-        assert_eq!(total, 100);
+        // 100 rows in chunks of 30 => 4 response messages, one batch
+        assert_eq!(batch.num_rows(), 100);
+        assert_eq!(batch.row(99).value(0), Value::Int64(99));
         // 1 request + 4 responses
         assert_eq!(r.link().metrics().messages(), 5);
+        assert_eq!(r.wire_stats().frames(), 4, "one count per frame");
         // The pre-compression ledger still reflects the full payload;
         // what crossed the wire is smaller.
         assert!(r.link().metrics().raw_bytes() > 100 * 8);
@@ -391,7 +402,7 @@ mod tests {
             bandwidth_bytes_per_sec: 0,
         };
         let r = remote(conditions, clock.clone());
-        r.fetch(&scan_all(), false, None).unwrap();
+        fetch(&r, &scan_all(), false, None).unwrap();
         // 5 messages x 1ms
         assert_eq!(clock.now_us(), 5_000);
     }
@@ -401,8 +412,9 @@ mod tests {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
         r.link().faults().fail_next(2);
-        let (batches, _) = r.fetch(&scan_all(), false, None).unwrap();
-        assert_eq!(batches.iter().map(Batch::num_rows).sum::<usize>(), 100);
+        let (batch, _) = fetch(&r, &scan_all(), false, None).unwrap();
+        // The two failed attempts left nothing behind.
+        assert_eq!(batch.num_rows(), 100);
         assert_eq!(r.link().metrics().failures(), 2);
     }
 
@@ -411,7 +423,7 @@ mod tests {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
         r.link().faults().partition();
-        let err = r.fetch(&scan_all(), false, None).unwrap_err();
+        let err = fetch(&r, &scan_all(), false, None).unwrap_err();
         assert!(err.is_retryable());
         assert_eq!(r.link().metrics().failures(), 3); // 1 + 2 retries
     }
@@ -431,9 +443,9 @@ mod tests {
             sort: vec![],
             limit: None,
         };
-        let (batches, _) = r.fetch(&req, false, None).unwrap();
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].num_rows(), 0);
+        let (batch, _) = fetch(&r, &req, false, None).unwrap();
+        assert_eq!(batch.num_rows(), 0);
+        assert_eq!(batch.num_columns(), 2);
         assert_eq!(r.link().metrics().messages(), 2);
     }
 
@@ -441,9 +453,9 @@ mod tests {
     fn traced_execute_meters_the_span_frame_and_reports_source_work() {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
-        let (batches, span) = r.fetch(&scan_all(), true, None).unwrap();
+        let (batch, span) = fetch(&r, &scan_all(), true, None).unwrap();
         let span = span.expect("a traced fetch reports a recv span");
-        assert_eq!(batches.iter().map(Batch::num_rows).sum::<usize>(), 100);
+        assert_eq!(batch.num_rows(), 100);
         // 1 request + 4 responses + 1 span frame
         assert_eq!(r.link().metrics().messages(), 6);
         assert_eq!(span.label, "recv[crm]");
@@ -465,7 +477,7 @@ mod tests {
         let clock = SimClock::new();
         let raw =
             remote(NetworkConditions::instant(), clock.clone()).with_compression_flag(off.clone());
-        let (raw_batches, _) = raw.fetch(&scan_all(), false, None).unwrap();
+        let (raw_batch, _) = fetch(&raw, &scan_all(), false, None).unwrap();
         let raw_bytes = raw.link().metrics().bytes();
         assert_eq!(
             raw.link().metrics().raw_bytes(),
@@ -478,16 +490,11 @@ mod tests {
             compressed.compression_enabled(),
             "compression is the default"
         );
-        let (comp_batches, _) = compressed.fetch(&scan_all(), false, None).unwrap();
+        let (comp_batch, _) = fetch(&compressed, &scan_all(), false, None).unwrap();
         let comp_bytes = compressed.link().metrics().bytes();
 
         // Bit-identical rows, strictly fewer wire bytes.
-        let rows = |bs: &[Batch]| {
-            bs.iter()
-                .flat_map(|b| (0..b.num_rows()).map(move |r| format!("{:?}", b.row(r))))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rows(&raw_batches), rows(&comp_batches));
+        assert_eq!(raw_batch, comp_batch);
         assert!(
             comp_bytes < raw_bytes,
             "compressed {comp_bytes} >= raw {raw_bytes}"
@@ -508,8 +515,22 @@ mod tests {
         off.store(true, Ordering::Relaxed);
         assert!(toggled.compression_enabled());
         off.store(false, Ordering::Relaxed);
-        let (legacy_batches, _) = toggled.fetch(&scan_all(), false, None).unwrap();
-        assert_eq!(rows(&legacy_batches), rows(&raw_batches));
+        let (legacy_batch, _) = fetch(&toggled, &scan_all(), false, None).unwrap();
+        assert_eq!(legacy_batch, raw_batch);
+    }
+
+    #[test]
+    fn a_response_of_other_column_types_fails_the_fetch() {
+        let r = remote(NetworkConditions::instant(), SimClock::new());
+        let wrong = Schema::new(vec![
+            Field::required("id", DataType::Utf8),
+            Field::new("name", DataType::Utf8),
+        ])
+        .into_ref();
+        let err = r.fetch(&scan_all(), &wrong, false, None).unwrap_err();
+        assert_eq!(err.code(), "NETWORK", "{err}");
+        let narrow = Schema::new(vec![Field::required("id", DataType::Int64)]).into_ref();
+        assert!(r.fetch(&scan_all(), &narrow, false, None).is_err());
     }
 
     #[test]
@@ -521,7 +542,7 @@ mod tests {
                 ..RetryPolicy::default()
             });
         r.link().faults().fail_next(2);
-        r.fetch(&scan_all(), false, None).unwrap();
+        fetch(&r, &scan_all(), false, None).unwrap();
         // Two backoffs on an otherwise-free network: 1 ms + 2 ms.
         assert_eq!(clock.now_us(), 3_000);
         assert_eq!(r.link().metrics().retries(), 2);
@@ -533,7 +554,7 @@ mod tests {
         let r = remote(NetworkConditions::instant(), clock);
         r.link().faults().partition();
         let deadline = Instant::now() - std::time::Duration::from_millis(1);
-        let err = r.fetch(&scan_all(), false, Some(deadline)).unwrap_err();
+        let err = fetch(&r, &scan_all(), false, Some(deadline)).unwrap_err();
         assert!(err.is_retryable());
         assert_eq!(
             r.link().metrics().failures(),
@@ -557,7 +578,7 @@ mod tests {
             ..RetryPolicy::default()
         });
         r.link().faults().partition();
-        let err = r.fetch(&scan_all(), false, None).unwrap_err();
+        let err = fetch(&r, &scan_all(), false, None).unwrap_err();
         assert!(err.is_retryable());
         // Attempt 1 burns 1 ms latency, backs off 1 ms (2 ms spent);
         // attempt 2 burns another 1 ms, and the next 2 ms backoff
@@ -571,9 +592,9 @@ mod tests {
         let clock = SimClock::new();
         let r = remote(NetworkConditions::instant(), clock);
         r.link().faults().fail_next(1);
-        let (batches, span) = r.fetch(&scan_all(), true, None).unwrap();
+        let (batch, span) = fetch(&r, &scan_all(), true, None).unwrap();
         let span = span.expect("a traced fetch reports a recv span");
-        assert_eq!(batches.iter().map(Batch::num_rows).sum::<usize>(), 100);
+        assert_eq!(batch.num_rows(), 100);
         assert!(span.find("event:retry[crm attempt=2").is_some());
     }
 }

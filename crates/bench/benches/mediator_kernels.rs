@@ -103,6 +103,7 @@ fn bench_join(c: &mut Criterion) {
                     &[0],
                     JoinKind::Inner,
                     None,
+                    None,
                     schema.clone(),
                     &KernelOptions::default(),
                     &KernelGov::unbounded(),

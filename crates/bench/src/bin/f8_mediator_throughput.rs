@@ -157,6 +157,7 @@ fn bench_join(n: usize, samples: &mut Vec<Sample>) {
                     &[0],
                     JoinKind::Inner,
                     None,
+                    None,
                     schema.clone(),
                     &KernelOptions::default(),
                     &KernelGov::unbounded(),

@@ -59,12 +59,9 @@ impl FragmentExec {
         let trace = ctx.options().tracing;
         let started = trace.then(std::time::Instant::now);
         let resp_schema = self.request.output_schema(&self.export_schema)?;
-        let (raw, recv) = ctx.source(&self.source)?.fetch_all(
-            &self.request,
-            resp_schema,
-            trace,
-            ctx.deadline(),
-        )?;
+        let (raw, recv) =
+            ctx.source(&self.source)?
+                .fetch(&self.request, &resp_schema, trace, ctx.deadline())?;
         let rows_in = raw.num_rows() as u64;
         let mapped = self.map_response(&raw)?;
         let filtered = match &self.residual {

@@ -11,7 +11,8 @@ use crate::expr::ScalarExpr;
 use gis_sql::ast::JoinKind;
 use gis_types::{Array, Batch, DataType, GisError, Result, Row, SchemaRef, Value};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Key columns of both sides cast to a common type per position so
 /// the vectorized hash/equality kernels see identical layouts. Only
@@ -60,6 +61,11 @@ fn common_key_columns<'a>(
 /// `left ++ right` layout and participates in *match* semantics
 /// (i.e. it is part of the ON condition, which matters for outer
 /// kinds).
+///
+/// `output` names the columns to build, as ordinals into the join's
+/// natural output (`left ++ right`; `left` alone for semi and anti
+/// joins), in the order `out_schema` lists them; `None` builds every
+/// column. Only the listed columns are gathered.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join(
     left: &Batch,
@@ -68,6 +74,7 @@ pub fn hash_join(
     right_keys: &[usize],
     kind: JoinKind,
     residual: Option<&ScalarExpr>,
+    output: Option<&[usize]>,
     out_schema: SchemaRef,
     opts: &KernelOptions,
     gov: &KernelGov<'_>,
@@ -77,7 +84,7 @@ pub fn hash_join(
             "hash join requires at least one key pair".into(),
         ));
     }
-    let (pairs, stats) = match common_key_columns(left, right, left_keys, right_keys)? {
+    let (mut pairs, stats) = match common_key_columns(left, right, left_keys, right_keys)? {
         Some((lcols, rcols)) => {
             let lrefs: Vec<&Array> = lcols.iter().map(Cow::as_ref).collect();
             let rrefs: Vec<&Array> = rcols.iter().map(Cow::as_ref).collect();
@@ -96,26 +103,8 @@ pub fn hash_join(
             },
         ),
     };
-    let pairs: Vec<(usize, usize)> = pairs
-        .into_iter()
-        .map(|(l, r)| (l as usize, r as usize))
-        .collect();
-    // Residual condition filters candidate pairs.
-    let pairs = match residual {
-        Some(cond) if !pairs.is_empty() => {
-            let li: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-            let ri: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-            let combined = left.take(&li).hstack(&right.take(&ri))?;
-            let keep = evaluate_predicate(cond, &combined)?;
-            pairs
-                .into_iter()
-                .zip(keep)
-                .filter_map(|(p, k)| k.then_some(p))
-                .collect()
-        }
-        _ => pairs,
-    };
-    let batch = assemble(left, right, pairs, kind, out_schema)?;
+    filter_pairs(left, right, &mut pairs, residual)?;
+    let batch = assemble(left, right, &pairs, kind, output, out_schema)?;
     Ok((batch, stats))
 }
 
@@ -137,16 +126,16 @@ pub fn hash_join_ref(
         ));
     }
     // Build side: right.
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+    let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
     for r in 0..right.num_rows() {
         let key = Row::new(right, r).key(right_keys);
         if key.iter().any(Value::is_null) {
             continue;
         }
-        table.entry(key).or_default().push(r);
+        table.entry(key).or_default().push(r as u32);
     }
     // Probe: collect candidate pairs.
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
     for l in 0..left.num_rows() {
         let key = Row::new(left, l).key(left_keys);
         if key.iter().any(Value::is_null) {
@@ -154,26 +143,12 @@ pub fn hash_join_ref(
         }
         if let Some(matches) = table.get(&key) {
             for &r in matches {
-                pairs.push((l, r));
+                pairs.push((l as u32, r));
             }
         }
     }
-    // Residual condition filters candidate pairs.
-    let pairs = match residual {
-        Some(cond) if !pairs.is_empty() => {
-            let li: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-            let ri: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-            let combined = left.take(&li).hstack(&right.take(&ri))?;
-            let keep = evaluate_predicate(cond, &combined)?;
-            pairs
-                .into_iter()
-                .zip(keep)
-                .filter_map(|(p, k)| k.then_some(p))
-                .collect()
-        }
-        _ => pairs,
-    };
-    assemble(left, right, pairs, kind, out_schema)
+    filter_pairs(left, right, &mut pairs, residual)?;
+    assemble(left, right, &pairs, kind, None, out_schema)
 }
 
 /// Checked, capped preallocation for a cross-product pair vector:
@@ -185,140 +160,145 @@ fn cross_capacity(l: usize, r: usize) -> usize {
 }
 
 /// Nested-loop join for joins without usable equi-keys (cross joins,
-/// pure inequality conditions).
+/// pure inequality conditions). `output` is as for [`hash_join`].
 pub fn nested_loop_join(
     left: &Batch,
     right: &Batch,
     kind: JoinKind,
     condition: Option<&ScalarExpr>,
+    output: Option<&[usize]>,
     out_schema: SchemaRef,
 ) -> Result<Batch> {
-    let mut pairs: Vec<(usize, usize)> =
-        Vec::with_capacity(cross_capacity(left.num_rows(), right.num_rows()));
-    for l in 0..left.num_rows() {
-        for r in 0..right.num_rows() {
+    let (ln, rn) = (left.num_rows(), right.num_rows());
+    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(cross_capacity(ln, rn));
+    for l in 0..ln as u32 {
+        for r in 0..rn as u32 {
             pairs.push((l, r));
         }
     }
-    let pairs = match condition {
-        Some(cond) if !pairs.is_empty() => {
-            let li: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-            let ri: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-            let combined = left.take(&li).hstack(&right.take(&ri))?;
-            let keep = evaluate_predicate(cond, &combined)?;
-            pairs
-                .into_iter()
-                .zip(keep)
-                .filter_map(|(p, k)| k.then_some(p))
-                .collect()
-        }
-        _ => pairs,
+    filter_pairs(left, right, &mut pairs, condition)?;
+    assemble(left, right, &pairs, kind, output, out_schema)
+}
+
+/// Gathers `left`'s rows of `pairs` beside `right`'s.
+fn gather_pairs(left: &Batch, right: &Batch, pairs: &[(u32, u32)]) -> Vec<Array> {
+    let l = pairs.iter().map(|p| p.0 as usize);
+    let r = pairs.iter().map(|p| p.1 as usize);
+    left.columns()
+        .iter()
+        .map(|c| c.take_by(l.clone()))
+        .chain(right.columns().iter().map(|c| c.take_by(r.clone())))
+        .collect()
+}
+
+/// Keeps the candidate pairs whose combined `left ++ right` row
+/// satisfies `condition`.
+fn filter_pairs(
+    left: &Batch,
+    right: &Batch,
+    pairs: &mut Vec<(u32, u32)>,
+    condition: Option<&ScalarExpr>,
+) -> Result<()> {
+    let Some(cond) = condition else {
+        return Ok(());
     };
-    assemble(left, right, pairs, kind, out_schema)
+    if pairs.is_empty() {
+        return Ok(());
+    }
+    let schema = Arc::new(left.schema().join(right.schema()));
+    let combined = Batch::try_new(schema, gather_pairs(left, right, pairs))?;
+    let mut keep = evaluate_predicate(cond, &combined)?.into_iter();
+    pairs.retain(|_| keep.next().unwrap_or(false));
+    Ok(())
 }
 
 /// Turns matched `(left, right)` row pairs into the output batch for
-/// each join kind.
+/// each join kind, gathering only the `output` columns of the kind's
+/// natural layout.
 fn assemble(
     left: &Batch,
     right: &Batch,
-    pairs: Vec<(usize, usize)>,
+    pairs: &[(u32, u32)],
     kind: JoinKind,
+    output: Option<&[usize]>,
     out_schema: SchemaRef,
 ) -> Result<Batch> {
-    match kind {
-        JoinKind::Inner | JoinKind::Cross => {
-            let li: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-            let ri: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-            let combined = left.take(&li).hstack(&right.take(&ri))?;
-            combined.with_schema(out_schema)
+    let left_width = left.num_columns();
+    let natural = match kind {
+        JoinKind::Semi | JoinKind::Anti => left_width,
+        _ => left_width + right.num_columns(),
+    };
+    let every: Vec<usize>;
+    let output = match output {
+        Some(o) => o,
+        None => {
+            every = (0..natural).collect();
+            &every
         }
-        JoinKind::Semi => {
-            let mut seen: HashSet<usize> = HashSet::new();
-            let mut keep: Vec<usize> = Vec::new();
-            for (l, _) in pairs {
-                if seen.insert(l) {
-                    keep.push(l);
+    };
+    if let Some(&o) = output.iter().find(|&&o| o >= natural) {
+        return Err(GisError::Internal(format!(
+            "join output column {o} out of range ({natural} columns)"
+        )));
+    }
+    // One gather per output column, from whichever side owns it.
+    let columns_of = |lidx: &dyn Fn(&Array) -> Array, ridx: &dyn Fn(&Array) -> Array| {
+        output
+            .iter()
+            .map(|&o| {
+                if o < left_width {
+                    lidx(left.column(o))
+                } else {
+                    ridx(right.column(o - left_width))
                 }
-            }
-            keep.sort_unstable();
-            left.take(&keep).with_schema(out_schema)
+            })
+            .collect::<Vec<Array>>()
+    };
+    let matched = |side: fn(&(u32, u32)) -> u32, rows: usize| {
+        let mut hit = vec![false; rows];
+        for p in pairs {
+            hit[side(p) as usize] = true;
         }
-        JoinKind::Anti => {
-            let matched: HashSet<usize> = pairs.iter().map(|p| p.0).collect();
-            let keep: Vec<usize> = (0..left.num_rows())
-                .filter(|l| !matched.contains(l))
-                .collect();
-            left.take(&keep).with_schema(out_schema)
+        hit
+    };
+    let columns = match kind {
+        JoinKind::Inner | JoinKind::Cross => {
+            columns_of(&|c| c.take_by(pairs.iter().map(|p| p.0 as usize)), &|c| {
+                c.take_by(pairs.iter().map(|p| p.1 as usize))
+            })
+        }
+        JoinKind::Semi | JoinKind::Anti => {
+            let want = kind == JoinKind::Semi;
+            let hit = matched(|p| p.0, left.num_rows());
+            let keep: Vec<usize> = (0..left.num_rows()).filter(|&l| hit[l] == want).collect();
+            columns_of(&|c| c.take(&keep), &|c| c.take(&keep))
         }
         JoinKind::Left | JoinKind::Right | JoinKind::Full => {
-            let matched_left: HashSet<usize> = pairs.iter().map(|p| p.0).collect();
-            let matched_right: HashSet<usize> = pairs.iter().map(|p| p.1).collect();
-            let mut li: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-            let mut ri: Vec<Option<usize>> = pairs.iter().map(|p| Some(p.1)).collect();
+            // Matched pairs, then unmatched left rows padded with a
+            // NULL right side, then unmatched right rows padded with
+            // a NULL left side.
+            let mut lidx: Vec<Option<usize>> = pairs.iter().map(|p| Some(p.0 as usize)).collect();
+            let mut ridx: Vec<Option<usize>> = pairs.iter().map(|p| Some(p.1 as usize)).collect();
             if matches!(kind, JoinKind::Left | JoinKind::Full) {
-                for l in 0..left.num_rows() {
-                    if !matched_left.contains(&l) {
-                        li.push(l);
-                        ri.push(None);
-                    }
+                let hit = matched(|p| p.0, left.num_rows());
+                for l in (0..left.num_rows()).filter(|&l| !hit[l]) {
+                    lidx.push(Some(l));
+                    ridx.push(None);
                 }
             }
-            // Unmatched right rows (Right/Full): null left side.
-            let mut extra_right: Vec<usize> = Vec::new();
             if matches!(kind, JoinKind::Right | JoinKind::Full) {
-                for r in 0..right.num_rows() {
-                    if !matched_right.contains(&r) {
-                        extra_right.push(r);
-                    }
+                let hit = matched(|p| p.1, right.num_rows());
+                for r in (0..right.num_rows()).filter(|&r| !hit[r]) {
+                    lidx.push(None);
+                    ridx.push(Some(r));
                 }
             }
-            // Assemble matched + left-padded rows.
-            let left_part = left.take(&li);
-            let right_part = take_optional(right, &ri)?;
-            let mut combined = left_part.hstack(&right_part)?;
-            if !extra_right.is_empty() {
-                let null_left = null_batch(left, extra_right.len())?;
-                let right_rows = right.take(&extra_right);
-                let pad = null_left.hstack(&right_rows)?;
-                combined = Batch::concat(combined.schema().clone(), &[combined.clone(), pad])?;
-            }
-            combined.with_schema(out_schema)
+            columns_of(&|c| c.take_opt(lidx.iter().copied()), &|c| {
+                c.take_opt(ridx.iter().copied())
+            })
         }
-    }
-}
-
-/// `take` allowing missing (NULL-padded) rows.
-fn take_optional(batch: &Batch, indices: &[Option<usize>]) -> Result<Batch> {
-    let rows: Vec<Vec<Value>> = indices
-        .iter()
-        .map(|i| match i {
-            Some(r) => batch.row_values(*r),
-            None => vec![Value::Null; batch.num_columns()],
-        })
-        .collect();
-    // NULL padding requires a nullable view of the schema.
-    let fields: Vec<gis_types::Field> = batch
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| f.clone().with_nullable(true))
-        .collect();
-    Batch::from_rows(std::sync::Arc::new(gis_types::Schema::new(fields)), &rows)
-}
-
-/// `len` all-NULL rows shaped like `batch`.
-fn null_batch(batch: &Batch, len: usize) -> Result<Batch> {
-    let rows: Vec<Vec<Value>> = (0..len)
-        .map(|_| vec![Value::Null; batch.num_columns()])
-        .collect();
-    let fields: Vec<gis_types::Field> = batch
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| f.clone().with_nullable(true))
-        .collect();
-    Batch::from_rows(std::sync::Arc::new(gis_types::Schema::new(fields)), &rows)
+    };
+    Batch::try_new(out_schema, columns)
 }
 
 #[cfg(test)]
@@ -375,7 +355,7 @@ mod tests {
         schema: SchemaRef,
     ) -> Batch {
         let (opts, gov) = (KernelOptions::default(), KernelGov::unbounded());
-        hash_join(l, r, &[0], &[0], kind, residual, schema, &opts, &gov)
+        hash_join(l, r, &[0], &[0], kind, residual, None, schema, &opts, &gov)
             .unwrap()
             .0
     }
@@ -483,6 +463,7 @@ mod tests {
             &right(),
             JoinKind::Cross,
             None,
+            None,
             schema_for(JoinKind::Cross),
         )
         .unwrap();
@@ -493,6 +474,7 @@ mod tests {
             &right(),
             JoinKind::Inner,
             Some(&cond),
+            None,
             schema_for(JoinKind::Inner),
         )
         .unwrap();
@@ -529,7 +511,7 @@ mod tests {
         let l = mk("a");
         let r = mk("b");
         let schema = JoinNode::compute_schema(l.schema(), r.schema(), JoinKind::Cross);
-        let out = nested_loop_join(&l, &r, JoinKind::Cross, None, schema).unwrap();
+        let out = nested_loop_join(&l, &r, JoinKind::Cross, None, None, schema).unwrap();
         assert_eq!(out.num_rows(), n * n);
     }
 

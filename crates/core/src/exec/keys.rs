@@ -15,7 +15,10 @@
 //! Both pick one of two representations per call. When
 //! [`gis_types::keys::FixedKeyLayout`] covers the key tuple, rows
 //! encode to exact `u128`s and the table needs no collision
-//! verification at all. Otherwise rows get a 64-bit vectorized hash
+//! verification at all; a grouping key too wide only because of its
+//! strings gets there too, each string column shrunk to a four-byte
+//! dictionary code first
+//! ([`gis_types::keys::encode_fixed_coded`]). Otherwise rows get a 64-bit vectorized hash
 //! ([`gis_types::keys::hash_rows`]) and bucket candidates are
 //! verified with the columnar equality kernel
 //! ([`gis_types::keys::rows_eq`]) — never by materializing `Value`s.
@@ -47,7 +50,7 @@ use gis_observe::Span;
 use gis_storage::spill::{SpillFile, SpillRecord, SpillWriter};
 use gis_types::error::{GisError, Result};
 use gis_types::keys::{
-    encode_fixed, hash_rows, hash_u128, rows_eq, BuildPrehashed, FixedKeyLayout,
+    encode_fixed, encode_fixed_coded, hash_rows, hash_u128, rows_eq, BuildPrehashed, FixedKeyLayout,
 };
 use gis_types::mem::{MemBudget, MemPressure, UNLIMITED};
 use gis_types::Array;
@@ -274,8 +277,8 @@ impl Drop for MemScope<'_> {
 /// What a kernel invocation did, for EXPLAIN ANALYZE.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelStats {
-    /// `fixed` / `hashed`, with a `-spill` suffix on the spilled
-    /// path.
+    /// `fixed` / `fixed-dict` (strings packed as per-call dictionary
+    /// codes) / `hashed`, with a `-spill` suffix on the spilled path.
     pub mode: &'static str,
     /// Partitions processed (1 = in memory, more when spilled).
     pub partitions: usize,
@@ -348,7 +351,12 @@ impl Grouping {
 /// Per-row key tags: either exact fixed-width encodings or masked
 /// 64-bit hashes that need verification.
 enum KeyTags {
-    Fixed(Vec<u128>),
+    /// Exact encodings; `coded` when strings too wide for the layout
+    /// went in as per-call dictionary codes.
+    Fixed {
+        keys: Vec<u128>,
+        coded: bool,
+    },
     Hashed(Vec<u64>),
 }
 
@@ -356,7 +364,11 @@ impl KeyTags {
     fn compute(cols: &[&Array], n: usize, opts: &KernelOptions) -> KeyTags {
         if opts.hash_mask == u64::MAX {
             if let Some(layout) = FixedKeyLayout::plan(&[cols]) {
-                return KeyTags::Fixed(encode_fixed(cols, n, &layout));
+                let keys = encode_fixed(cols, n, &layout);
+                return KeyTags::Fixed { keys, coded: false };
+            }
+            if let Some(keys) = encode_fixed_coded(cols, n) {
+                return KeyTags::Fixed { keys, coded: true };
             }
         }
         let mut hashes = hash_rows(cols, n);
@@ -371,21 +383,23 @@ impl KeyTags {
     /// The partition-routing hash of row `i`.
     fn route(&self, i: usize) -> u64 {
         match self {
-            KeyTags::Fixed(k) => hash_u128(k[i]),
+            KeyTags::Fixed { keys, .. } => hash_u128(keys[i]),
             KeyTags::Hashed(h) => h[i],
         }
     }
 
     fn mode(&self) -> &'static str {
         match self {
-            KeyTags::Fixed(_) => "fixed",
+            KeyTags::Fixed { coded: false, .. } => "fixed",
+            KeyTags::Fixed { coded: true, .. } => "fixed-dict",
             KeyTags::Hashed(_) => "hashed",
         }
     }
 
     fn mode_spilled(&self) -> &'static str {
         match self {
-            KeyTags::Fixed(_) => "fixed-spill",
+            KeyTags::Fixed { coded: false, .. } => "fixed-spill",
+            KeyTags::Fixed { coded: true, .. } => "fixed-dict-spill",
             KeyTags::Hashed(_) => "hashed-spill",
         }
     }
@@ -393,7 +407,7 @@ impl KeyTags {
     /// Bytes of one tag (16 fixed, 8 hashed).
     fn tag_width(&self) -> u64 {
         match self {
-            KeyTags::Fixed(_) => 16,
+            KeyTags::Fixed { .. } => 16,
             KeyTags::Hashed(_) => 8,
         }
     }
@@ -401,21 +415,21 @@ impl KeyTags {
     /// Heap bytes held by the tag array itself.
     fn heap_bytes(&self) -> u64 {
         match self {
-            KeyTags::Fixed(k) => k.len() as u64 * 16,
+            KeyTags::Fixed { keys, .. } => keys.len() as u64 * 16,
             KeyTags::Hashed(h) => h.len() as u64 * 8,
         }
     }
 
     fn is_fixed(&self) -> bool {
-        matches!(self, KeyTags::Fixed(_))
+        matches!(self, KeyTags::Fixed { .. })
     }
 
     /// The spill record for row `i`.
     fn record(&self, i: usize) -> SpillRecord {
         match self {
-            KeyTags::Fixed(k) => SpillRecord::Fixed {
+            KeyTags::Fixed { keys, .. } => SpillRecord::Fixed {
                 row: i as u32,
-                key: k[i],
+                key: keys[i],
             },
             KeyTags::Hashed(h) => SpillRecord::Hashed {
                 row: i as u32,
@@ -457,7 +471,7 @@ fn group_subset(
     let mut reps: Vec<u32> = Vec::new();
     let mut gid_of_pos: Vec<u32> = Vec::with_capacity(rows.len());
     match tags {
-        KeyTags::Fixed(keys) => {
+        KeyTags::Fixed { keys, .. } => {
             // Exact encodings: the u128 *is* the key, no verification.
             let mut table: PrehashedMap<u128, u32> = prehashed_map(rows.len());
             for (pos, &row) in rows.iter().enumerate() {
@@ -679,7 +693,10 @@ fn read_partition(file: &SpillFile) -> Result<(Vec<u32>, KeyTags)> {
             }
             Ok(())
         })?;
-        Ok((rows, KeyTags::Fixed(keys)))
+        // A partition is grouped under the mode its caller named; the
+        // flag only labels, so it is not carried through the file.
+        let coded = false;
+        Ok((rows, KeyTags::Fixed { keys, coded }))
     } else {
         let mut hashes = Vec::with_capacity(n);
         file.for_each(|r| {
@@ -834,7 +851,7 @@ fn join_subset(
         }};
     }
     match (ltags, rtags) {
-        (KeyTags::Fixed(lk), KeyTags::Fixed(rk)) => {
+        (KeyTags::Fixed { keys: lk, .. }, KeyTags::Fixed { keys: rk, .. }) => {
             // Exact encodings: every chain entry is a true match.
             let (head, next) = build!(rk, u128);
             for (lpos, &l) in lrows.iter().enumerate() {
@@ -919,10 +936,11 @@ pub fn equi_join_pairs(
         let fixed = opts.hash_mask == u64::MAX && FixedKeyLayout::plan(&[left, right]).is_some();
         if fixed {
             let layout = FixedKeyLayout::plan(&[left, right]).expect("planned above");
-            (
-                KeyTags::Fixed(encode_fixed(left, ln, &layout)),
-                KeyTags::Fixed(encode_fixed(right, rn, &layout)),
-            )
+            let fixed = |cols, n| KeyTags::Fixed {
+                keys: encode_fixed(cols, n, &layout),
+                coded: false,
+            };
+            (fixed(left, ln), fixed(right, rn))
         } else {
             let mask = opts.hash_mask;
             let mut lh = hash_rows(left, ln);
@@ -1117,14 +1135,17 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let w = wide_col(500);
-        let cols: Vec<&Array> = vec![&a, &w];
-        let (serial, s1) = group(&cols, 500);
-        assert_eq!(s1.mode, "hashed");
-        let (collided, s3) =
-            group_rows(&cols, 500, &collide_all(), &KernelGov::unbounded()).unwrap();
-        assert_eq!(s3.mode, "hashed");
-        assert_eq!(serial.group_of_row, collided.group_of_row);
-        assert_eq!(serial.representatives, collided.representatives);
+        // The wide string shrinks to a dictionary code beside one
+        // integer, not beside two: 8 + 8 + 4 bytes overflow the layout.
+        for (cols, mode) in [(vec![&a, &w], "fixed-dict"), (vec![&a, &a, &w], "hashed")] {
+            let (serial, s1) = group(&cols, 500);
+            assert_eq!(s1.mode, mode);
+            let (collided, s3) =
+                group_rows(&cols, 500, &collide_all(), &KernelGov::unbounded()).unwrap();
+            assert_eq!(s3.mode, "hashed");
+            assert_eq!(serial.group_of_row, collided.group_of_row);
+            assert_eq!(serial.representatives, collided.representatives);
+        }
     }
 
     #[test]
@@ -1187,7 +1208,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let w = wide_col(5000);
-        for cols in [vec![&a], vec![&a, &w]] {
+        for cols in [vec![&a], vec![&a, &w], vec![&a, &a, &w]] {
             let (reference, _) = group(&cols, 5000);
             let budget = tight_budget();
             let gov = KernelGov::new(&budget, None, 7);
@@ -1297,7 +1318,7 @@ mod tests {
         let expired = Instant::now() - std::time::Duration::from_millis(1);
         let gov = KernelGov::new(&budget, Some(expired), 5);
         let mem = MemScope::new(gov);
-        for cols in [vec![&a], vec![&a, &w]] {
+        for cols in [vec![&a], vec![&a, &a, &w]] {
             let tags = KeyTags::compute(&cols, 10_000, &KernelOptions::default());
             let err = group_subset(&cols, &tags, &rows, false, &gov)
                 .err()

@@ -3,7 +3,7 @@
 use crate::exec::aggregate::{distinct, hash_aggregate};
 use crate::exec::fragment::FragmentExec;
 use crate::exec::join::{hash_join, nested_loop_join};
-use crate::exec::keys::{KernelGov, KernelOptions};
+use crate::exec::keys::{group_rows, KernelGov, KernelOptions};
 use crate::exec::options::{ExecOptions, QueryCtx};
 use crate::exec::sort::sort_batch;
 use crate::expr::eval::{evaluate, evaluate_predicate};
@@ -16,7 +16,7 @@ use gis_net::KeyBloom;
 use gis_observe::Span;
 use gis_sql::ast::JoinKind;
 use gis_types::mem::MemBudget;
-use gis_types::{Batch, GisError, Result, Row, Schema, SchemaRef, Value};
+use gis_types::{Array, Batch, GisError, Result, Schema, SchemaRef, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -184,12 +184,9 @@ impl RemoteJoinExec {
         let resp_schema = self
             .request
             .join_output_schema(&self.left_export, &self.right_export)?;
-        let (raw, recv) = ctx.source(&self.source)?.fetch_all(
-            &self.request,
-            resp_schema,
-            trace,
-            ctx.deadline(),
-        )?;
+        let (raw, recv) =
+            ctx.source(&self.source)?
+                .fetch(&self.request, &resp_schema, trace, ctx.deadline())?;
         let rows_in = raw.num_rows() as u64;
         // Apply per-column transforms positionally.
         let mut cols = Vec::with_capacity(self.columns.len());
@@ -237,6 +234,10 @@ pub struct BindJoinExec {
     pub kind: JoinKind,
     /// Residual join condition over `outer ++ inner` layout.
     pub residual: Option<ScalarExpr>,
+    /// The columns of the join's natural output that `schema` keeps
+    /// (`None` = all of them): what a column-only `Project` parent
+    /// reads. Nothing else is gathered.
+    pub output: Option<Vec<usize>>,
     /// Keys per Lookup message (`usize::MAX` = classic semijoin:
     /// one message with the whole distinct key set).
     pub batch_size: usize,
@@ -305,6 +306,10 @@ pub enum PhysicalPlan {
         kind: JoinKind,
         /// Residual ON condition over `left ++ right`.
         residual: Option<ScalarExpr>,
+        /// The columns of the natural output (`left ++ right`; `left`
+        /// for semi and anti joins) that `schema` keeps, `None` = all:
+        /// what a column-only `Project` parent reads.
+        output: Option<Vec<usize>>,
         /// Output schema.
         schema: SchemaRef,
     },
@@ -318,6 +323,8 @@ pub enum PhysicalPlan {
         kind: JoinKind,
         /// Condition over `left ++ right`.
         condition: Option<ScalarExpr>,
+        /// Kept columns of the natural output, as for `HashJoin`.
+        output: Option<Vec<usize>>,
         /// Output schema.
         schema: SchemaRef,
     },
@@ -508,6 +515,7 @@ impl PhysicalPlan {
                 right_keys,
                 kind,
                 residual,
+                output,
                 schema,
             } => {
                 let ((l, ls), (r, rs)) = execute_pair(left, right, ctx)?;
@@ -521,6 +529,7 @@ impl PhysicalPlan {
                     right_keys,
                     *kind,
                     residual.as_ref(),
+                    output.as_deref(),
                     schema.clone(),
                     &KernelOptions::default(),
                     &ctx.kernel_gov(),
@@ -536,13 +545,21 @@ impl PhysicalPlan {
                 right,
                 kind,
                 condition,
+                output,
                 schema,
             } => {
                 let ((l, ls), (r, rs)) = execute_pair(left, right, ctx)?;
                 rows_in += (l.num_rows() + r.num_rows()) as u64;
                 children.extend(ls);
                 children.extend(rs);
-                nested_loop_join(&l, &r, *kind, condition.as_ref(), schema.clone())?
+                nested_loop_join(
+                    &l,
+                    &r,
+                    *kind,
+                    condition.as_ref(),
+                    output.as_deref(),
+                    schema.clone(),
+                )?
             }
             PhysicalPlan::HashAggregate {
                 input,
@@ -643,9 +660,7 @@ impl PhysicalPlan {
             PhysicalPlan::Fragment(f) => format!("Fragment[{}]", f.source),
             PhysicalPlan::RemoteAggregate(r) => format!("RemoteAggregate[{}]", r.source),
             PhysicalPlan::RemoteJoin(r) => format!("RemoteJoin[{}]", r.source),
-            PhysicalPlan::BindJoin(b) => {
-                format!("BindJoin[{}→{} {}]", b.label, b.inner.source, b.kind)
-            }
+            PhysicalPlan::BindJoin(b) => b.span_label(),
             PhysicalPlan::Filter { predicate, .. } => format!("Filter: {predicate}"),
             PhysicalPlan::Project { exprs, .. } => {
                 let items: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
@@ -655,9 +670,15 @@ impl PhysicalPlan {
                 left_keys,
                 right_keys,
                 kind,
+                output,
                 ..
-            } => format!("HashJoin[{kind}]: left{left_keys:?} = right{right_keys:?}"),
-            PhysicalPlan::NestedLoop { kind, .. } => format!("NestedLoop[{kind}]"),
+            } => format!(
+                "HashJoin[{kind}]: left{left_keys:?} = right{right_keys:?}{}",
+                kept_columns(output)
+            ),
+            PhysicalPlan::NestedLoop { kind, output, .. } => {
+                format!("NestedLoop[{kind}]{}", kept_columns(output))
+            }
             PhysicalPlan::HashAggregate {
                 group_exprs,
                 aggregates,
@@ -729,41 +750,24 @@ impl PhysicalPlan {
                 let _ = writeln!(out, "{pad}Project: {}", items.join(", "));
                 input.render(depth + 1, out);
             }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                kind,
-                ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}HashJoin[{kind}]: left{left_keys:?} = right{right_keys:?}"
-                );
-                left.render(depth + 1, out);
-                right.render(depth + 1, out);
-            }
-            PhysicalPlan::NestedLoop {
-                left, right, kind, ..
-            } => {
-                let _ = writeln!(out, "{pad}NestedLoop[{kind}]");
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::NestedLoop { left, right, .. } => {
+                let _ = writeln!(out, "{pad}{}", self.span_label());
                 left.render(depth + 1, out);
                 right.render(depth + 1, out);
             }
             PhysicalPlan::BindJoin(b) => {
                 let _ = writeln!(
                     out,
-                    "{pad}BindJoin[{}→{} {}]: outer{:?}, batch={}",
-                    b.label,
-                    b.inner.source,
-                    b.kind,
+                    "{pad}{}: outer{:?}, batch={}{}",
+                    b.head(),
                     b.outer_keys,
                     if b.batch_size == usize::MAX {
                         "all".to_string()
                     } else {
                         b.batch_size.to_string()
-                    }
+                    },
+                    kept_columns(&b.output)
                 );
                 b.outer.render(depth + 1, out);
             }
@@ -872,6 +876,14 @@ fn execute_all_parallel(plans: &[PhysicalPlan], ctx: &ExecContext<'_>) -> Result
     })
 }
 
+/// ` out=[1, 4, 6]` on a join that builds only those columns of its
+/// natural output; nothing on one that builds them all.
+fn kept_columns(output: &Option<Vec<usize>>) -> String {
+    output
+        .as_ref()
+        .map_or_else(String::new, |o| format!(" out={o:?}"))
+}
+
 /// `Sort: amount DESC, order_id ASC fetch=20` — the head line of a
 /// sort in `EXPLAIN` and in span trees.
 fn sort_label(keys: &[PhysicalSortKey], fetch: Option<usize>) -> String {
@@ -946,7 +958,7 @@ fn execute_remote_agg(r: &RemoteAggExec, ctx: &ExecContext<'_>) -> Result<(Batch
     let resp_schema = r.request.output_schema(&r.export_schema)?;
     let (raw, recv) =
         ctx.source(&r.source)?
-            .fetch_all(&r.request, resp_schema, trace, ctx.deadline())?;
+            .fetch(&r.request, &resp_schema, trace, ctx.deadline())?;
     // Group columns go through their mapping transforms; aggregate
     // outputs are cast to the declared output types.
     let mut columns = Vec::with_capacity(r.schema.len());
@@ -997,31 +1009,38 @@ fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, 
     const BIND_RECV_SPAN_CAP: usize = 64;
     let mut recv_spans: usize = 0;
     let mut recv_dropped: u64 = 0;
-    let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-    let mut export_keys: Vec<Vec<Value>> = Vec::new();
-    for row in 0..outer.num_rows() {
-        let key = Row::new(&outer, row).key(&b.outer_keys);
-        if key.iter().any(Value::is_null) || !seen.insert(key.clone()) {
-            continue;
-        }
-        // Invert each component through the mapping transform of the
-        // inner key column; a non-invertible value matches nothing.
-        let mut export_key = Vec::with_capacity(key.len());
-        let mut ok = true;
-        for (component, &kexp) in key.iter().zip(key_columns.iter()) {
-            let export_type = b.inner.export_schema.field(kexp).data_type;
-            let cm = b.inner_key_mapping(export_key.len())?;
-            match cm.transform.invert_literal(component, export_type) {
+    // One representative row per distinct outer key tuple (the
+    // grouping kernel, column at a time); only representatives are
+    // inverted through the mapping transform of their inner key
+    // column. A NULL component never joins and a non-invertible value
+    // matches nothing, so neither ships.
+    let key_cols: Vec<&Array> = b.outer_keys.iter().map(|&k| outer.column(k)).collect();
+    let (distinct, _) = group_rows(
+        &key_cols,
+        outer.num_rows(),
+        &KernelOptions::default(),
+        &ctx.kernel_gov(),
+    )?;
+    let mut inverters = Vec::with_capacity(key_cols.len());
+    for (k, &kexp) in key_columns.iter().enumerate().take(key_cols.len()) {
+        let export_type = b.inner.export_schema.field(kexp).data_type;
+        inverters.push((b.inner_key_mapping(k)?, export_type));
+    }
+    let mut export_keys: Vec<Vec<Value>> = Vec::with_capacity(distinct.num_groups());
+    'keys: for &row in &distinct.representatives {
+        let mut export_key = Vec::with_capacity(inverters.len());
+        for (col, (cm, export_type)) in key_cols.iter().zip(&inverters) {
+            let component = col.value_at(row as usize);
+            let inverted = match component {
+                Value::Null => None,
+                v => cm.transform.invert_literal(&v, *export_type),
+            };
+            match inverted {
                 Some(v) => export_key.push(v),
-                None => {
-                    ok = false;
-                    break;
-                }
+                None => continue 'keys,
             }
         }
-        if ok {
-            export_keys.push(export_key);
-        }
+        export_keys.push(export_key);
     }
     // A sorted, deduplicated key list is cheaper on the wire — the
     // request codec delta-compresses sorted integer key columns, and
@@ -1050,7 +1069,7 @@ fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, 
     {
         let key_list_bytes: usize = export_keys
             .iter()
-            .map(|k| gis_net::wire::encode_values(k).len())
+            .map(|k| gis_net::wire::values_wire_size(k))
             .sum();
         let bloom_bytes = KeyBloom::predicted_bytes(export_keys.len(), BLOOM_FPP);
         let fp_bytes =
@@ -1076,16 +1095,16 @@ fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, 
     }
     if requests.is_empty() {
         let chunk = b.batch_size.max(1);
-        let mut idx = 0;
-        while idx < export_keys.len() {
-            let end = export_keys.len().min(idx.saturating_add(chunk));
+        let mut rest = export_keys;
+        while !rest.is_empty() {
+            let tail = rest.split_off(chunk.min(rest.len()));
             requests.push(SourceRequest::Lookup {
                 table: table.clone(),
                 key_columns: key_columns.clone(),
-                keys: export_keys[idx..end].to_vec(),
+                keys: rest,
                 projection: projection.clone(),
             });
-            idx = end;
+            rest = tail;
         }
     }
     if trace {
@@ -1095,7 +1114,7 @@ fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, 
         // A bind join is the longest-running fragment shape (one
         // round trip per key batch) — poll the deadline per batch.
         ctx.check_deadline()?;
-        let raw = match remote.fetch_all(&request, resp_schema.clone(), trace, ctx.deadline()) {
+        let raw = match remote.fetch(&request, &resp_schema, trace, ctx.deadline()) {
             Ok((raw, recv)) => {
                 if let Some(recv) = recv {
                     if recv_spans < BIND_RECV_SPAN_CAP {
@@ -1153,6 +1172,7 @@ fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, 
         &b.inner_key_positions_output()?,
         b.kind,
         b.residual.as_ref(),
+        b.output.as_deref(),
         b.schema.clone(),
         &KernelOptions::default(),
         &ctx.kernel_gov(),
@@ -1162,13 +1182,10 @@ fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, 
         children.extend(kstats.governor_spans());
     }
     let span = started.map(|t| {
-        let mut s = Span::leaf(format!(
-            "BindJoin[{}→{} {}]",
-            b.label, b.inner.source, b.kind
-        ))
-        .with_rows_in(outer.num_rows() as u64 + inner_rows)
-        .with_rows_out(batch.num_rows() as u64)
-        .with_wall_us(t.elapsed().as_micros() as u64);
+        let mut s = Span::leaf(b.span_label())
+            .with_rows_in(outer.num_rows() as u64 + inner_rows)
+            .with_rows_out(batch.num_rows() as u64)
+            .with_wall_us(t.elapsed().as_micros() as u64);
         s.children = children;
         s
     });
@@ -1176,6 +1193,18 @@ fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, 
 }
 
 impl BindJoinExec {
+    /// `BindJoin[semijoin→sales INNER JOIN]`.
+    fn head(&self) -> String {
+        format!(
+            "BindJoin[{}→{} {}]",
+            self.label, self.inner.source, self.kind
+        )
+    }
+
+    fn span_label(&self) -> String {
+        format!("{}{}", self.head(), kept_columns(&self.output))
+    }
+
     /// The mapping column that feeds inner key component `k`: the
     /// planner stores, per key, its position in the fragment's
     /// fetched-global layout. A plan whose positions are short or out
@@ -1239,6 +1268,7 @@ mod tests {
             right_keys: vec![0],
             kind: JoinKind::Semi,
             residual: None,
+            output: None,
             schema: one_row().schema().clone(),
         }
     }
@@ -1287,6 +1317,7 @@ mod tests {
             inner_key_positions: vec![0],
             kind: JoinKind::Semi,
             residual: None,
+            output: None,
             batch_size: usize::MAX,
             schema: one_row().schema().clone(),
             label: "semijoin",
@@ -1352,6 +1383,7 @@ mod tests {
             right: Box::new(one_row()),
             kind: JoinKind::Cross,
             condition: None,
+            output: None,
             schema: schema.clone(),
         };
         let union = PhysicalPlan::Union {

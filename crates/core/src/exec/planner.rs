@@ -19,7 +19,9 @@ use crate::exec::fragment::{
     build_fragment, build_lookup_fragment, key_export_ordinals, FragmentExec,
 };
 use crate::exec::options::{ExecOptions, JoinStrategy};
-use crate::exec::physical::{BindJoinExec, PhysicalPlan, PhysicalSortKey, RemoteAggExec};
+use crate::exec::physical::{
+    BindJoinExec, PhysicalPlan, PhysicalSortKey, RemoteAggExec, RemoteJoinExec,
+};
 use crate::expr::ScalarExpr;
 use crate::plan::logical::{LogicalPlan, TableScanNode};
 use gis_adapters::{AggSpec, SortSpec, SourceGroup, SourceRequest};
@@ -28,6 +30,7 @@ use gis_net::NetworkConditions;
 use gis_sql::ast::JoinKind;
 use gis_types::{GisError, Result};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Compiles an optimized logical plan into a physical plan.
 pub fn create_physical_plan(
@@ -74,12 +77,26 @@ impl Planner<'_> {
                 input,
                 exprs,
                 schema,
-            } => Ok(PhysicalPlan::Project {
-                input: Box::new(self.create_bounded(input, bound)?),
-                exprs: exprs.clone(),
-                schema: schema.clone(),
-            }),
-            LogicalPlan::Join(j) => self.create_join(j),
+            } => {
+                // Bare columns over a join: the join builds only the
+                // columns read here, and this node re-addresses them.
+                if let (LogicalPlan::Join(j), Some((kept, exprs))) = (
+                    input.as_ref(),
+                    kept_join_columns(exprs, input.schema().len()),
+                ) {
+                    return Ok(PhysicalPlan::Project {
+                        input: Box::new(self.create_join(j, Some(&kept))?),
+                        exprs,
+                        schema: schema.clone(),
+                    });
+                }
+                Ok(PhysicalPlan::Project {
+                    input: Box::new(self.create_bounded(input, bound)?),
+                    exprs: exprs.clone(),
+                    schema: schema.clone(),
+                })
+            }
+            LogicalPlan::Join(j) => self.create_join(j, None),
             LogicalPlan::Aggregate {
                 input,
                 group_exprs,
@@ -192,8 +209,20 @@ impl Planner<'_> {
         }
     }
 
-    fn create_join(&self, j: &crate::plan::logical::JoinNode) -> Result<PhysicalPlan> {
+    /// `output` lists the columns of `j`'s schema a column-only
+    /// projection above reads (ascending, distinct); the join operator
+    /// then builds exactly those, under the schema narrowed to them.
+    fn create_join(
+        &self,
+        j: &crate::plan::logical::JoinNode,
+        output: Option<&[usize]>,
+    ) -> Result<PhysicalPlan> {
         let (left_keys, right_keys, residual) = j.equi_keys();
+        let schema = match output {
+            Some(kept) => Arc::new(j.schema.project(kept)),
+            None => j.schema.clone(),
+        };
+        let output = output.map(<[usize]>::to_vec);
         // Co-located inner equi-join: both sides scan tables on the
         // same source, which can join natively — the whole join ships
         // as one fragment.
@@ -201,10 +230,15 @@ impl Planner<'_> {
             if let (LogicalPlan::TableScan(l), LogicalPlan::TableScan(r)) =
                 (j.left.as_ref(), j.right.as_ref())
             {
-                if let Some(plan) =
+                if let Some(mut join) =
                     self.try_colocated_join(j, l, r, &left_keys, &right_keys, residual.as_ref())?
                 {
-                    return Ok(plan);
+                    if let Some(kept) = &output {
+                        join.output_positions =
+                            kept.iter().map(|&o| join.output_positions[o]).collect();
+                        join.schema = schema;
+                    }
+                    return Ok(PhysicalPlan::RemoteJoin(join));
                 }
             }
         }
@@ -217,10 +251,12 @@ impl Planner<'_> {
         );
         if !left_keys.is_empty() && bindable_kind {
             if let LogicalPlan::TableScan(t) = j.right.as_ref() {
-                if let Some(plan) =
+                if let Some(mut join) =
                     self.try_key_shipping(j, t, &left_keys, &right_keys, residual.as_ref())?
                 {
-                    return Ok(plan);
+                    join.output = output;
+                    join.schema = schema;
+                    return Ok(PhysicalPlan::BindJoin(join));
                 }
             }
         }
@@ -232,7 +268,8 @@ impl Planner<'_> {
                 right,
                 kind: j.kind,
                 condition: j.on.clone(),
-                schema: j.schema.clone(),
+                output,
+                schema,
             });
         }
         Ok(PhysicalPlan::HashJoin {
@@ -242,7 +279,8 @@ impl Planner<'_> {
             right_keys,
             kind: j.kind,
             residual,
-            schema: j.schema.clone(),
+            output,
+            schema,
         })
     }
 
@@ -258,7 +296,7 @@ impl Planner<'_> {
         left_keys: &[usize],
         right_keys: &[usize],
         on_residual: Option<&ScalarExpr>,
-    ) -> Result<Option<PhysicalPlan>> {
+    ) -> Result<Option<RemoteJoinExec>> {
         if left.resolved.source.name != right.resolved.source.name
             || !left.resolved.source.capabilities.join
             || left.fetch.is_some()
@@ -393,18 +431,16 @@ impl Planner<'_> {
         // Output positions: left scan output then right scan output.
         let mut output_positions = left_pos;
         output_positions.extend(right_pos.iter().map(|pos| left_width + pos));
-        Ok(Some(PhysicalPlan::RemoteJoin(
-            crate::exec::physical::RemoteJoinExec {
-                source: left.resolved.source.name.clone(),
-                request,
-                left_export: left.resolved.table.export_schema.clone(),
-                right_export: right.resolved.table.export_schema.clone(),
-                columns,
-                residual: ScalarExpr::conjunction(residuals),
-                output_positions,
-                schema: j.schema.clone(),
-            },
-        )))
+        Ok(Some(RemoteJoinExec {
+            source: left.resolved.source.name.clone(),
+            request,
+            left_export: left.resolved.table.export_schema.clone(),
+            right_export: right.resolved.table.export_schema.clone(),
+            columns,
+            residual: ScalarExpr::conjunction(residuals),
+            output_positions,
+            schema: j.schema.clone(),
+        }))
     }
 
     /// Attempts a semijoin / bind-join against the remote inner scan;
@@ -417,7 +453,7 @@ impl Planner<'_> {
         left_keys: &[usize],
         right_keys: &[usize],
         residual: Option<&ScalarExpr>,
-    ) -> Result<Option<PhysicalPlan>> {
+    ) -> Result<Option<BindJoinExec>> {
         let remote = self.remote(&inner.resolved.source.name)?;
         let caps = inner.resolved.source.capabilities;
         if !caps.bind_lookup {
@@ -461,20 +497,21 @@ impl Planner<'_> {
         // Positions of key globals within the fetched layout.
         let inner_key_positions = fetched_positions(&fragment, &key_global, "join-key")?;
         let outer_plan = self.create(&j.left)?;
-        Ok(Some(PhysicalPlan::BindJoin(BindJoinExec {
+        Ok(Some(BindJoinExec {
             outer: Box::new(outer_plan),
             outer_keys: left_keys.to_vec(),
             inner: fragment,
             inner_key_positions,
             kind: j.kind,
             residual: residual.cloned(),
+            output: None,
             batch_size,
             schema: j.schema.clone(),
             label,
             filter_capable: caps.filter_lookup,
             inner_rows_est: inner_est.rows.max(0.0) as u64,
             inner_row_bytes: inner_est.row_bytes.max(0.0) as u64,
-        })))
+        }))
     }
 
     /// Picks a strategy from estimates and link conditions (resolving
@@ -712,6 +749,31 @@ impl Planner<'_> {
         }
         Ok(Some(fragment))
     }
+}
+
+/// For a projection of bare columns over a `width`-column join: the
+/// distinct columns it reads (ascending) and the same projection
+/// re-addressed to a join output holding just those. `None` when an
+/// expression computes something, or when nothing would be dropped.
+fn kept_join_columns(exprs: &[ScalarExpr], width: usize) -> Option<(Vec<usize>, Vec<ScalarExpr>)> {
+    let read: Vec<usize> = exprs
+        .iter()
+        .map(|e| match e {
+            ScalarExpr::Column(c) => Some(*c),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    let mut kept = read.clone();
+    kept.sort_unstable();
+    kept.dedup();
+    if kept.is_empty() || kept.len() == width {
+        return None;
+    }
+    let exprs = read
+        .iter()
+        .map(|c| ScalarExpr::Column(kept.partition_point(|k| k < c)))
+        .collect();
+    Some((kept, exprs))
 }
 
 /// Positions of `globals` within a fragment's fetched layout. The

@@ -37,14 +37,15 @@
 //! same zeroed representation array builders produce.
 
 use crate::wire::{
-    decode_array, decode_schema, decode_value, encode_array, encode_schema, encode_value,
-    get_count, get_ivarint, get_str, get_uvarint, put_ivarint, put_str, put_uvarint, tag_type,
-    truncated, type_tag,
+    decode_array_into, decode_schema, encode_array, encode_batch_range, encode_schema, expect_type,
+    get_count, get_ivarint, get_str, get_uvarint, ivarint_len, put_fixed, put_ivarint, put_str,
+    put_uvarint, tag_type, take_bytes, truncated, type_tag, uvarint_len, zigzag, ColumnRange,
+    Slots,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gis_types::{Array, ArrayBuilder, Batch, Bitmap, DataType, GisError, Result, Value};
-use std::borrow::Cow;
-use std::collections::HashMap;
+use gis_types::{
+    ArrayBuilder, Batch, Bitmap, DataType, GisError, Result, Schema, SchemaRef, ValuesMut,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -129,6 +130,9 @@ pub struct FrameStats {
     pub raw: usize,
     /// Bytes of the frame as encoded.
     pub wire: usize,
+    /// Frames these stats cover: 1 from an encode, the sum after
+    /// [`FrameStats::absorb`].
+    pub frames: u32,
     /// Columns per codec, indexed by codec tag.
     pub codecs: [u32; CODEC_COUNT],
 }
@@ -139,6 +143,7 @@ impl FrameStats {
     pub fn absorb(&mut self, other: &FrameStats) {
         self.raw += other.raw;
         self.wire += other.wire;
+        self.frames += other.frames;
         for (a, b) in self.codecs.iter_mut().zip(other.codecs.iter()) {
             *a += b;
         }
@@ -177,13 +182,15 @@ impl WireStats {
         Arc::new(WireStats::default())
     }
 
-    /// Records one encoded frame.
+    /// Records the frames `stats` covers (one frame's stats, or an
+    /// exchange's absorbed total).
     pub fn record(&self, stats: &FrameStats) {
         self.raw_bytes
             .fetch_add(stats.raw as u64, Ordering::Relaxed);
         self.wire_bytes
             .fetch_add(stats.wire as u64, Ordering::Relaxed);
-        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.frames
+            .fetch_add(u64::from(stats.frames), Ordering::Relaxed);
         for (counter, &n) in self.columns.iter().zip(stats.codecs.iter()) {
             if n > 0 {
                 counter.fetch_add(u64::from(n), Ordering::Relaxed);
@@ -214,50 +221,12 @@ impl WireStats {
 
 // ---- size accounting -------------------------------------------------------
 
-fn uvarint_len(v: u64) -> usize {
-    ((64 - v.leading_zeros()) as usize).div_ceil(7).max(1)
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
 fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
-fn ivarint_len(v: i64) -> usize {
-    uvarint_len(zigzag(v))
-}
-
-/// Exact length of the legacy (raw) encoding of one array.
-fn raw_array_size(a: &Array) -> usize {
-    let n = a.len();
-    let header = 1 + uvarint_len(n as u64) + n.div_ceil(8);
-    let payload = match a {
-        Array::Boolean(v, _) => v.len(),
-        Array::Int32(v, _) | Array::Date(v, _) => v.len() * 4,
-        Array::Int64(v, _) | Array::Timestamp(v, _) => v.len() * 8,
-        Array::Float64(v, _) => v.len() * 8,
-        Array::Utf8(v, m) => v
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if m.get(i) {
-                    uvarint_len(s.len() as u64) + s.len()
-                } else {
-                    1
-                }
-            })
-            .sum(),
-    };
-    header + payload
-}
-
-/// Exact length of the legacy encoding of a whole batch — what the
-/// wire *would* have carried uncompressed. Computed by formula so the
-/// raw side of every `raw/sent` ratio costs no second encode.
-pub fn raw_frame_size(batch: &Batch) -> usize {
+/// Bytes of the schema block every frame layout opens with.
+fn schema_size(batch: &Batch) -> usize {
     let schema = batch.schema();
     let mut size = uvarint_len(schema.len() as u64);
     for f in schema.fields() {
@@ -266,8 +235,21 @@ pub fn raw_frame_size(batch: &Batch) -> usize {
             size += uvarint_len(q.len() as u64) + q.len();
         }
     }
-    size += uvarint_len(batch.num_rows() as u64);
-    size + batch.columns().iter().map(raw_array_size).sum::<usize>()
+    size
+}
+
+/// Exact length of the legacy encoding of a whole batch — what the
+/// wire *would* have carried uncompressed. Computed by formula (the
+/// column planner's own raw bound) so the raw side of every
+/// `raw/sent` ratio costs no second encode.
+pub fn raw_frame_size(batch: &Batch) -> usize {
+    let rows = batch.num_rows();
+    let columns: usize = batch
+        .columns()
+        .iter()
+        .map(|a| Bounds::of(&ColumnRange::new(a, 0, rows)).raw)
+        .sum();
+    schema_size(batch) + uvarint_len(rows as u64) + columns
 }
 
 // ---- bit packing -----------------------------------------------------------
@@ -289,404 +271,607 @@ fn width_mask(width: u8) -> u64 {
     }
 }
 
-fn pack_bits(buf: &mut BytesMut, vals: impl Iterator<Item = u64>, width: u8) {
+/// Appends `n` values of `width` bits each, LSB-first: the run is sized
+/// once and filled a 64-bit word at a time.
+fn pack_bits(buf: &mut BytesMut, n: usize, width: u8, value: impl Fn(usize) -> u64) {
     if width == 0 {
         return;
     }
+    let start = buf.len();
+    buf.resize(start + packed_len(n, width), 0);
+    let out = &mut buf[start..];
     let mask = width_mask(width);
-    let mut acc: u128 = 0;
-    let mut nbits: u32 = 0;
-    for v in vals {
-        acc |= u128::from(v & mask) << nbits;
+    let (mut acc, mut nbits, mut pos) = (0u128, 0u32, 0usize);
+    for i in 0..n {
+        acc |= u128::from(value(i) & mask) << nbits;
         nbits += u32::from(width);
-        while nbits >= 8 {
-            buf.put_u8(acc as u8);
-            acc >>= 8;
-            nbits -= 8;
+        if nbits >= 64 {
+            out[pos..pos + 8].copy_from_slice(&(acc as u64).to_le_bytes());
+            pos += 8;
+            acc >>= 64;
+            nbits -= 64;
         }
     }
-    if nbits > 0 {
-        buf.put_u8(acc as u8);
+    let tail = (acc as u64).to_le_bytes();
+    let left = out.len() - pos;
+    out[pos..].copy_from_slice(&tail[..left]);
+}
+
+/// Calls `each(i, value)` for the `n` `width`-bit values of a packed
+/// run whose length was checked against `packed_len(n, width)`.
+fn unpack_bits(
+    packed: &[u8],
+    n: usize,
+    width: u8,
+    mut each: impl FnMut(usize, u64) -> Result<()>,
+) -> Result<()> {
+    if width == 0 {
+        return (0..n).try_for_each(|i| each(i, 0));
+    }
+    let mask = width_mask(width);
+    let mut words = packed.chunks(8);
+    let (mut acc, mut nbits) = (0u128, 0u32);
+    for i in 0..n {
+        if nbits < u32::from(width) {
+            // The length check guarantees a next chunk; its last one
+            // may be short and reads as zero-padded.
+            let chunk = words.next().unwrap_or_default();
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            acc |= u128::from(u64::from_le_bytes(word)) << nbits;
+            nbits += 64;
+        }
+        each(i, acc as u64 & mask)?;
+        acc >>= width;
+        nbits -= u32::from(width);
+    }
+    Ok(())
+}
+
+// ---- slots -----------------------------------------------------------------
+
+/// One non-NULL slot in the form the codecs compare, size and ship:
+/// integers widened to `i64`, floats as their bit pattern (so `-0.0`
+/// and NaN payloads stay distinct), strings borrowed.
+trait Slot: Copy + PartialEq {
+    /// Bytes of the value's payload (no type tag).
+    fn payload_len(self) -> usize;
+    /// Appends the payload.
+    fn put(self, buf: &mut BytesMut);
+    /// A well-mixed 64-bit hash (the dictionary takes its top bits).
+    fn hash(self) -> u64;
+}
+
+/// Fibonacci hashing: the top bits of the product are well mixed.
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Slot for bool {
+    fn payload_len(self) -> usize {
+        1
+    }
+    fn put(self, buf: &mut BytesMut) {
+        buf.put_u8(u8::from(self));
+    }
+    fn hash(self) -> u64 {
+        u64::from(self).wrapping_mul(HASH_MUL)
     }
 }
 
-/// LSB-first reader over a length-checked packed run.
-struct BitReader {
-    bytes: Bytes,
-    acc: u128,
-    nbits: u32,
-    pos: usize,
+impl Slot for i64 {
+    fn payload_len(self) -> usize {
+        ivarint_len(self)
+    }
+    fn put(self, buf: &mut BytesMut) {
+        put_ivarint(buf, self);
+    }
+    fn hash(self) -> u64 {
+        (self as u64).wrapping_mul(HASH_MUL)
+    }
 }
 
-impl BitReader {
-    fn new(bytes: Bytes) -> BitReader {
-        BitReader {
-            bytes,
-            acc: 0,
-            nbits: 0,
-            pos: 0,
-        }
-    }
+/// A float slot by bit pattern.
+#[derive(Clone, Copy, PartialEq)]
+struct Bits(u64);
 
-    fn read(&mut self, width: u8) -> u64 {
-        if width == 0 {
-            return 0;
-        }
-        while self.nbits < u32::from(width) {
-            // The packed run was length-checked before this reader
-            // was built, so the next byte always exists.
-            self.acc |= u128::from(self.bytes[self.pos]) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
-        }
-        let v = (self.acc as u64) & width_mask(width);
-        self.acc >>= width;
-        self.nbits -= u32::from(width);
-        v
+impl Slot for Bits {
+    fn payload_len(self) -> usize {
+        8
     }
+    fn put(self, buf: &mut BytesMut) {
+        buf.put_u64_le(self.0);
+    }
+    fn hash(self) -> u64 {
+        (self.0 ^ (self.0 >> 32)).wrapping_mul(HASH_MUL)
+    }
+}
+
+impl Slot for &str {
+    fn payload_len(self) -> usize {
+        uvarint_len(self.len() as u64) + self.len()
+    }
+    fn put(self, buf: &mut BytesMut) {
+        put_str(buf, self);
+    }
+    fn hash(self) -> u64 {
+        // Eight bytes a step; the tail is folded in bytewise (it is
+        // at most seven bytes, and a fixed small loop beats a
+        // variable-length copy).
+        let bytes = self.as_bytes();
+        let mut h = bytes.len() as u64;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("eight-byte chunk"));
+            h = (h.rotate_left(5) ^ w).wrapping_mul(HASH_MUL);
+        }
+        let tail = words
+            .remainder()
+            .iter()
+            .fold(0u64, |t, &b| t << 8 | u64::from(b));
+        (h.rotate_left(5) ^ tail).wrapping_mul(HASH_MUL)
+    }
+}
+
+/// A typed run of slots the planner and encoders are generic over.
+trait SlotSource: Copy {
+    type S: Slot;
+    fn at(self, i: usize) -> Self::S;
+}
+
+impl SlotSource for &[bool] {
+    type S = bool;
+    fn at(self, i: usize) -> bool {
+        self[i]
+    }
+}
+
+impl SlotSource for &[i32] {
+    type S = i64;
+    fn at(self, i: usize) -> i64 {
+        i64::from(self[i])
+    }
+}
+
+impl SlotSource for &[i64] {
+    type S = i64;
+    fn at(self, i: usize) -> i64 {
+        self[i]
+    }
+}
+
+impl SlotSource for &[f64] {
+    type S = Bits;
+    fn at(self, i: usize) -> Bits {
+        Bits(self[i].to_bits())
+    }
+}
+
+impl<'a> SlotSource for &'a [String] {
+    type S = &'a str;
+    fn at(self, i: usize) -> &'a str {
+        &self[i]
+    }
+}
+
+/// Runs `$body` with `$v` bound to the typed slice inside `$slots`.
+macro_rules! with_slots {
+    ($slots:expr, |$v:ident| $body:expr) => {
+        match $slots {
+            Slots::Boolean($v) => $body,
+            Slots::Int32($v) => $body,
+            Slots::Int64($v) => $body,
+            Slots::Float64($v) => $body,
+            Slots::Utf8($v) => $body,
+        }
+    };
 }
 
 // ---- column plans ----------------------------------------------------------
 
-/// The per-column stats pass shared by every type: run boundaries
-/// (bitwise equality for floats), a capped distinct set, and exact
-/// candidate sizes. `S` is the cheap slot representation (bits for
-/// floats, `&str` for strings) so the pass allocates nothing per
-/// slot; run values are stored as start offsets into the array.
-struct GenericStats {
-    /// (run length, start slot) pairs.
-    runs: Vec<(u64, usize)>,
-    rle_size: usize,
-    dict: Option<(Vec<Value>, Vec<u16>)>,
-    dict_size: usize,
-    nullsup_size: usize,
+/// Frame-of-reference parameters: mode 0 packs `v - base` (base = the
+/// column minimum); mode 1 packs zigzag deltas between consecutive
+/// valid slots (NULLs carry the previous value, and the first valid
+/// slot's delta from `base` is zero). All arithmetic wraps, and the
+/// decoder wraps identically, so extreme ranges round-trip.
+#[derive(Debug, Clone, Copy, Default)]
+struct DeltaPlan {
+    mode: u8,
+    base: i64,
+    width: u8,
 }
 
-fn generic_stats<S, FL, FV>(
-    n: usize,
-    slots: impl Iterator<Item = Option<S>>,
-    payload_len: FL,
-    to_value: FV,
-) -> GenericStats
-where
-    S: std::hash::Hash + Eq + Clone,
-    FL: Fn(&S) -> usize,
-    FV: Fn(&S) -> Value,
-{
-    let bitmap_bytes = n.div_ceil(8);
-    let mut runs: Vec<(u64, usize)> = Vec::new();
-    let mut rle_body = 0usize;
-    let mut run_val: Option<Option<S>> = None;
-    let mut run_len = 0u64;
-    let mut run_start = 0usize;
-    let mut dict_map: HashMap<S, u16> = HashMap::new();
-    let mut dict_values: Vec<Value> = Vec::new();
-    let mut dict_payload = 0usize;
-    let mut codes: Vec<u16> = Vec::with_capacity(n);
-    let mut dict_ok = true;
-    let mut nullsup_payload = 0usize;
-    for (i, slot) in slots.enumerate() {
-        if matches!(&run_val, Some(p) if *p == slot) {
-            run_len += 1;
+/// The layouts whose exact size needs no look at value *identity*:
+/// raw and null-suppressed by formula (one length pass for strings),
+/// delta from the integer min/max/zig-zag pass.
+struct Bounds {
+    raw: usize,
+    nullsup: usize,
+    delta: Option<(DeltaPlan, usize)>,
+}
+
+impl Bounds {
+    fn of(col: &ColumnRange<'_>) -> Bounds {
+        let n = col.len();
+        let bitmap = n.div_ceil(8);
+        let valid = if col.all_valid {
+            n
         } else {
-            if let Some(p) = run_val.take() {
-                runs.push((run_len, run_start));
-                rle_body += uvarint_len(run_len) + p.as_ref().map_or(1, |s| 1 + payload_len(s));
-            }
-            run_val = Some(slot.clone());
-            run_len = 1;
-            run_start = i;
-        }
-        if let Some(s) = &slot {
-            nullsup_payload += payload_len(s);
-            if dict_ok {
-                let next = dict_map.len() as u16;
-                let code = *dict_map.entry(s.clone()).or_insert(next);
-                if usize::from(code) == dict_values.len() {
-                    if dict_values.len() >= DICT_MAX {
-                        dict_ok = false;
-                    } else {
-                        dict_payload += 1 + payload_len(s);
-                        dict_values.push(to_value(s));
-                    }
+            col.validity.count_set()
+        };
+        let header = 1 + uvarint_len(n as u64) + bitmap;
+        let fixed = |width: usize| Bounds {
+            raw: header + width * n,
+            nullsup: 1 + bitmap + width * valid,
+            delta: None,
+        };
+        let ints = |width: usize, (plan, varints): (DeltaPlan, usize)| Bounds {
+            raw: header + width * n,
+            nullsup: 1 + bitmap + varints,
+            delta: Some((
+                plan,
+                1 + bitmap + 1 + ivarint_len(plan.base) + 1 + packed_len(n, plan.width),
+            )),
+        };
+        match col.slots {
+            Slots::Boolean(_) => fixed(1),
+            Slots::Float64(_) => fixed(8),
+            Slots::Int32(v) => ints(4, int_bounds(v, col)),
+            Slots::Int64(v) => ints(8, int_bounds(v, col)),
+            Slots::Utf8(v) => {
+                let payload: usize = (0..n)
+                    .filter(|&i| col.is_valid(i))
+                    .map(|i| v[i].as_str().payload_len())
+                    .sum();
+                Bounds {
+                    // A NULL string still ships its zero length byte.
+                    raw: header + payload + (n - valid),
+                    nullsup: 1 + bitmap + payload,
+                    delta: None,
                 }
-                if dict_ok {
-                    codes.push(code);
-                }
             }
-        } else if dict_ok {
-            codes.push(0);
         }
     }
-    if let Some(p) = run_val.take() {
-        runs.push((run_len, run_start));
-        rle_body += uvarint_len(run_len) + p.as_ref().map_or(1, |s| 1 + payload_len(s));
-    }
-    let rle_size = 1 + uvarint_len(runs.len() as u64) + rle_body;
-    let nullsup_size = 1 + bitmap_bytes + nullsup_payload;
-    let (dict, dict_size) = if dict_ok && !dict_values.is_empty() {
-        let width = bits_for(dict_values.len() as u64 - 1);
-        let size = 1
-            + bitmap_bytes
-            + uvarint_len(dict_values.len() as u64)
-            + dict_payload
-            + 1
-            + packed_len(n, width);
-        (Some((dict_values, codes)), size)
-    } else {
-        (None, usize::MAX)
+}
+
+/// One pass over an integer column's valid slots: the delta plan and
+/// the total varint payload (the null-suppressed layout's body).
+fn int_bounds<C: SlotSource<S = i64>>(v: C, col: &ColumnRange<'_>) -> (DeltaPlan, usize) {
+    let mut valid = (0..col.len()).filter(|&i| col.is_valid(i)).map(|i| v.at(i));
+    let Some(first) = valid.next() else {
+        return (DeltaPlan::default(), 0);
     };
-    GenericStats {
-        runs,
-        rle_size,
-        dict,
-        dict_size,
-        nullsup_size,
-    }
-}
-
-/// Integer delta/frame-of-reference plan: `(mode, base, width)`.
-/// Mode 0 packs `v - min`; mode 1 packs zigzag deltas between
-/// consecutive valid slots (NULLs carry the previous value, and the
-/// first valid slot's delta from `base` is zero). All arithmetic
-/// wraps, and the decoder wraps identically, so extreme ranges
-/// round-trip.
-fn int_delta_plan(vals: &[i64], m: &Bitmap) -> (u8, i64, u8) {
-    let mut any = false;
-    let (mut min, mut max, mut first, mut prev) = (0i64, 0i64, 0i64, 0i64);
+    let (mut min, mut max, mut prev) = (first, first, first);
     let mut max_zz = 0u64;
-    for (i, &v) in vals.iter().enumerate() {
-        if !m.get(i) {
-            continue;
-        }
-        if !any {
-            any = true;
-            min = v;
-            max = v;
-            first = v;
-        } else {
-            min = min.min(v);
-            max = max.max(v);
-            max_zz = max_zz.max(zigzag(v.wrapping_sub(prev)));
-        }
-        prev = v;
-    }
-    if !any {
-        return (0, 0, 0);
+    let mut varints = ivarint_len(first);
+    for x in valid {
+        min = min.min(x);
+        max = max.max(x);
+        max_zz = max_zz.max(zigzag(x.wrapping_sub(prev)));
+        varints += ivarint_len(x);
+        prev = x;
     }
     let for_width = bits_for(max.wrapping_sub(min) as u64);
     let delta_width = bits_for(max_zz);
-    if delta_width < for_width {
-        (1, first, delta_width)
-    } else {
-        (0, min, for_width)
-    }
-}
-
-struct Plan<'a> {
-    codec: ColumnCodec,
-    runs: Vec<(u64, usize)>,
-    dict: Option<(Vec<Value>, Vec<u16>)>,
-    delta: Option<(u8, i64, u8)>,
-    /// The widened slots of an integer column, built once for the
-    /// stats pass and reused by the delta encoder.
-    ints: Option<Cow<'a, [i64]>>,
-}
-
-fn int_value(dt: DataType, v: i64) -> Value {
-    match dt {
-        DataType::Int32 => Value::Int32(v as i32),
-        DataType::Date => Value::Date(v as i32),
-        DataType::Timestamp => Value::Timestamp(v),
-        _ => Value::Int64(v),
-    }
-}
-
-/// An integer-class column's slots as `i64`: borrowed when they
-/// already are, widened otherwise.
-fn int_slots(a: &Array) -> Option<Cow<'_, [i64]>> {
-    match a {
-        Array::Int32(v, _) | Array::Date(v, _) => {
-            Some(Cow::Owned(v.iter().map(|&x| i64::from(x)).collect()))
+    let plan = if delta_width < for_width {
+        DeltaPlan {
+            mode: 1,
+            base: first,
+            width: delta_width,
         }
-        Array::Int64(v, _) | Array::Timestamp(v, _) => Some(Cow::Borrowed(v.as_slice())),
-        _ => None,
-    }
-}
-
-fn plan_column(a: &Array) -> Plan<'_> {
-    let n = a.len();
-    let raw = raw_array_size(a);
-    let mut ints = None;
-    let (st, delta) = match a {
-        Array::Boolean(v, m) => (
-            generic_stats(
-                n,
-                (0..n).map(|i| m.get(i).then(|| v[i])),
-                |_| 1,
-                |&b| Value::Boolean(b),
-            ),
-            None,
-        ),
-        Array::Float64(v, m) => (
-            generic_stats(
-                n,
-                (0..n).map(|i| m.get(i).then(|| v[i].to_bits())),
-                |_| 8,
-                |&bits| Value::Float64(f64::from_bits(bits)),
-            ),
-            None,
-        ),
-        Array::Utf8(v, m) => (
-            generic_stats(
-                n,
-                (0..n).map(|i| m.get(i).then(|| v[i].as_str())),
-                |s: &&str| uvarint_len(s.len() as u64) + s.len(),
-                |s: &&str| Value::Utf8((*s).to_string()),
-            ),
-            None,
-        ),
-        _ => {
-            let dt = a.data_type();
-            let m = a.validity();
-            let vals = int_slots(a).expect("non-generic arrays are integers");
-            let st = generic_stats(
-                n,
-                (0..n).map(|i| m.get(i).then(|| vals[i])),
-                |&v| ivarint_len(v),
-                |&v| int_value(dt, v),
-            );
-            let (mode, base, width) = int_delta_plan(&vals, m);
-            let delta_size = 1 + n.div_ceil(8) + 1 + ivarint_len(base) + 1 + packed_len(n, width);
-            ints = Some(vals);
-            (st, Some((mode, base, width, delta_size)))
+    } else {
+        DeltaPlan {
+            mode: 0,
+            base: min,
+            width: for_width,
         }
     };
-    let mut cands = vec![
-        (ColumnCodec::Raw, raw),
-        (ColumnCodec::Dict, st.dict_size),
-        (ColumnCodec::Rle, st.rle_size),
-        (ColumnCodec::NullSup, st.nullsup_size),
-    ];
-    if let Some((_, _, _, size)) = delta {
-        cands.push((ColumnCodec::Delta, size));
+    (plan, varints)
+}
+
+/// Open-addressing slots of the dictionary table: twice the entry
+/// cap, so probes stay short.
+const DICT_SLOTS: usize = 2 * DICT_MAX;
+
+/// The planner's per-frame scratch: a fixed-capacity first-occurrence
+/// dictionary (an entry is the *row* that introduced it, so no value
+/// is copied or boxed) and the code each row got while the dictionary
+/// layout was still in the race.
+struct DictScratch {
+    /// `entry + 1` per table slot, 0 = empty.
+    index: [u16; DICT_SLOTS],
+    /// Row of first occurrence per entry, in entry order.
+    first: [u32; DICT_MAX],
+    len: usize,
+    codes: Vec<u8>,
+}
+
+impl DictScratch {
+    fn new() -> DictScratch {
+        DictScratch {
+            index: [0; DICT_SLOTS],
+            first: [0; DICT_MAX],
+            len: 0,
+            codes: Vec::new(),
+        }
     }
-    let codec = cands
-        .iter()
-        .min_by_key(|(c, s)| (*s, *c))
-        .expect("raw is always a candidate")
-        .0;
+
+    fn reset(&mut self, rows: usize) {
+        self.index = [0; DICT_SLOTS];
+        self.len = 0;
+        if self.codes.len() < rows {
+            self.codes.resize(rows, 0);
+        }
+    }
+
+    /// The code of `key` (the slot at `row`), entered as a new entry
+    /// when unseen: `(code, new)`, or `None` when that would be entry
+    /// number `DICT_MAX + 1`.
+    #[inline]
+    fn code<C: SlotSource>(&mut self, v: C, row: usize, key: C::S) -> Option<(u8, bool)> {
+        let mut slot = (key.hash() >> (64 - DICT_SLOTS.trailing_zeros())) as usize;
+        loop {
+            match self.index[slot] {
+                0 => {
+                    if self.len == DICT_MAX {
+                        return None;
+                    }
+                    self.first[self.len] = row as u32;
+                    self.len += 1;
+                    self.index[slot] = self.len as u16;
+                    return Some(((self.len - 1) as u8, true));
+                }
+                e => {
+                    let entry = usize::from(e) - 1;
+                    if v.at(self.first[entry] as usize) == key {
+                        return Some((entry as u8, false));
+                    }
+                    slot = (slot + 1) % DICT_SLOTS;
+                }
+            }
+        }
+    }
+}
+
+/// The one pass that looks at value identity: run boundaries (RLE)
+/// and the first-occurrence dictionary, each **abandoned the moment
+/// its running size strictly exceeds `limit`** — the best size already
+/// known. Both running sizes only grow, so an abandoned layout's final
+/// size exceeds `limit` too and could not have been chosen; a layout
+/// that *ties* `limit` is carried to the end and compared exactly.
+/// Returns `(size, runs)` for RLE and the size of the dictionary
+/// layout (its entries and codes stay in `dict`), where still in the
+/// race.
+fn scan_runs_and_dict<C: SlotSource>(
+    v: C,
+    col: &ColumnRange<'_>,
+    limit: usize,
+    dict: &mut DictScratch,
+) -> (Option<(usize, usize)>, Option<usize>) {
+    let n = col.len();
+    let bitmap = n.div_ceil(8);
+    dict.reset(n);
+    let run_cost =
+        |len: u64, value: Option<C::S>| uvarint_len(len) + value.map_or(1, |s| 1 + s.payload_len());
+    let rle_size = |runs: usize, body: usize| 1 + uvarint_len(runs as u64) + body;
+    let dict_size = |entries: usize, payload: usize| {
+        let width = bits_for(entries as u64 - 1);
+        1 + bitmap + uvarint_len(entries as u64) + payload + 1 + packed_len(n, width)
+    };
+    let (mut rle_alive, mut dict_alive) = (true, true);
+    let (mut runs, mut rle_body) = (0usize, 0usize);
+    let (mut run_value, mut run_len): (Option<C::S>, u64) = (None, 0);
+    let mut dict_payload = 0usize;
+    for i in 0..n {
+        let slot = col.is_valid(i).then(|| v.at(i));
+        if rle_alive {
+            if run_len > 0 && slot == run_value {
+                run_len += 1;
+            } else {
+                if run_len > 0 {
+                    runs += 1;
+                    rle_body += run_cost(run_len, run_value);
+                    rle_alive = rle_size(runs, rle_body) <= limit;
+                }
+                run_value = slot;
+                run_len = 1;
+            }
+        }
+        if dict_alive {
+            match slot {
+                None => dict.codes[i] = 0,
+                Some(key) => match dict.code(v, i, key) {
+                    None => dict_alive = false,
+                    Some((code, new)) => {
+                        dict.codes[i] = code;
+                        if new {
+                            dict_payload += 1 + key.payload_len();
+                            dict_alive = dict_size(dict.len, dict_payload) <= limit;
+                        }
+                    }
+                },
+            }
+        }
+        if !rle_alive && !dict_alive {
+            break;
+        }
+    }
+    let rle = rle_alive.then(|| {
+        if run_len > 0 {
+            runs += 1;
+            rle_body += run_cost(run_len, run_value);
+        }
+        (rle_size(runs, rle_body), runs)
+    });
+    // A column with no valid slot has no dictionary layout.
+    let coded = (dict_alive && dict.len > 0).then(|| dict_size(dict.len, dict_payload));
+    (rle, coded)
+}
+
+/// The chosen layout and what its encoder needs.
+struct Plan {
+    codec: ColumnCodec,
+    /// Size of the raw layout (the frame's `raw` ledger).
+    raw: usize,
+    delta: DeltaPlan,
+    runs: usize,
+}
+
+/// Picks the cheapest layout by `(size, codec tag)`: the cheap bounds
+/// first, then the early-exit pass for the other two.
+fn plan_column(col: &ColumnRange<'_>, dict: &mut DictScratch) -> Plan {
+    let bounds = Bounds::of(col);
+    let mut best = (bounds.raw, ColumnCodec::Raw);
+    let mut consider = |size: usize, codec: ColumnCodec| {
+        if (size, codec) < best {
+            best = (size, codec);
+        }
+        best.0
+    };
+    consider(bounds.nullsup, ColumnCodec::NullSup);
+    let (delta, delta_size) = bounds.delta.unwrap_or((DeltaPlan::default(), usize::MAX));
+    let limit = consider(delta_size, ColumnCodec::Delta);
+    let (rle, coded) = with_slots!(col.slots, |v| scan_runs_and_dict(v, col, limit, dict));
+    let (rle_size, runs) = rle.unwrap_or((usize::MAX, 0));
+    consider(rle_size, ColumnCodec::Rle);
+    consider(coded.unwrap_or(usize::MAX), ColumnCodec::Dict);
     Plan {
-        codec,
-        runs: st.runs,
-        dict: st.dict,
-        delta: delta.map(|(mode, base, width, _)| (mode, base, width)),
-        ints,
+        codec: best.1,
+        raw: bounds.raw,
+        delta,
+        runs,
     }
 }
 
 // ---- column encode ---------------------------------------------------------
 
-fn encode_column(buf: &mut BytesMut, a: &Array) -> ColumnCodec {
-    let plan = plan_column(a);
-    buf.put_u8(plan.codec as u8);
-    match plan.codec {
-        ColumnCodec::Raw => encode_array(buf, a),
-        ColumnCodec::Dict => {
-            let (values, codes) = plan.dict.expect("dict plan carries its dictionary");
-            buf.put_u8(type_tag(a.data_type()));
-            buf.put_slice(a.validity().as_bytes());
-            put_uvarint(buf, values.len() as u64);
-            for v in &values {
-                encode_value(buf, v);
+/// Type tag + payload: the wire form of one dictionary entry or run
+/// value (`encode_value`'s layout, without building a `Value`).
+fn put_value<S: Slot>(buf: &mut BytesMut, tag: u8, slot: S) {
+    buf.put_u8(tag);
+    slot.put(buf);
+}
+
+fn encode_dict<C: SlotSource>(buf: &mut BytesMut, v: C, n: usize, tag: u8, dict: &DictScratch) {
+    put_uvarint(buf, dict.len as u64);
+    for &row in &dict.first[..dict.len] {
+        put_value(buf, tag, v.at(row as usize));
+    }
+    let width = bits_for(dict.len as u64 - 1);
+    buf.put_u8(width);
+    pack_bits(buf, n, width, |i| u64::from(dict.codes[i]));
+}
+
+fn encode_rle<C: SlotSource>(
+    buf: &mut BytesMut,
+    v: C,
+    col: &ColumnRange<'_>,
+    tag: u8,
+    runs: usize,
+) {
+    put_uvarint(buf, runs as u64);
+    let mut put_run = |len: u64, value: Option<C::S>| {
+        put_uvarint(buf, len);
+        match value {
+            Some(s) => put_value(buf, tag, s),
+            None => buf.put_u8(type_tag(DataType::Null)),
+        }
+    };
+    let (mut run_value, mut run_len): (Option<C::S>, u64) = (None, 0);
+    for i in 0..col.len() {
+        let slot = col.is_valid(i).then(|| v.at(i));
+        if run_len > 0 && slot == run_value {
+            run_len += 1;
+        } else {
+            if run_len > 0 {
+                put_run(run_len, run_value);
             }
-            let width = bits_for(values.len() as u64 - 1);
-            buf.put_u8(width);
-            pack_bits(buf, codes.iter().map(|&c| u64::from(c)), width);
+            run_value = slot;
+            run_len = 1;
+        }
+    }
+    if run_len > 0 {
+        put_run(run_len, run_value);
+    }
+}
+
+fn encode_delta<C: SlotSource<S = i64>>(
+    buf: &mut BytesMut,
+    v: C,
+    col: &ColumnRange<'_>,
+    plan: DeltaPlan,
+) {
+    buf.put_u8(plan.mode);
+    put_ivarint(buf, plan.base);
+    buf.put_u8(plan.width);
+    if plan.mode == 0 {
+        pack_bits(buf, col.len(), plan.width, |i| {
+            if col.is_valid(i) {
+                v.at(i).wrapping_sub(plan.base) as u64
+            } else {
+                0
+            }
+        });
+    } else {
+        let prev = std::cell::Cell::new(plan.base);
+        pack_bits(buf, col.len(), plan.width, |i| {
+            if col.is_valid(i) {
+                let x = v.at(i);
+                zigzag(x.wrapping_sub(prev.replace(x)))
+            } else {
+                0
+            }
+        });
+    }
+}
+
+fn encode_nullsup<C: SlotSource>(buf: &mut BytesMut, v: C, col: &ColumnRange<'_>) {
+    for i in (0..col.len()).filter(|&i| col.is_valid(i)) {
+        v.at(i).put(buf);
+    }
+}
+
+fn encode_column(buf: &mut BytesMut, col: &ColumnRange<'_>, dict: &mut DictScratch) -> Plan {
+    let plan = plan_column(col, dict);
+    let tag = type_tag(col.data_type);
+    buf.put_u8(plan.codec as u8);
+    if plan.codec == ColumnCodec::Raw {
+        encode_array(buf, col);
+        return plan;
+    }
+    buf.put_u8(tag);
+    match plan.codec {
+        ColumnCodec::Raw => unreachable!("returned above"),
+        ColumnCodec::Dict => {
+            buf.put_slice(col.validity.as_bytes());
+            with_slots!(col.slots, |v| encode_dict(buf, v, col.len(), tag, dict));
         }
         ColumnCodec::Rle => {
-            buf.put_u8(type_tag(a.data_type()));
-            put_uvarint(buf, plan.runs.len() as u64);
-            for &(len, start) in &plan.runs {
-                put_uvarint(buf, len);
-                encode_value(buf, &a.value_at(start));
-            }
+            with_slots!(col.slots, |v| encode_rle(buf, v, col, tag, plan.runs));
         }
         ColumnCodec::Delta => {
-            let (mode, base, width) = plan.delta.expect("delta plan carries its parameters");
-            let vals = plan.ints.expect("delta only plans integer columns");
-            let m = a.validity();
-            buf.put_u8(type_tag(a.data_type()));
-            buf.put_slice(m.as_bytes());
-            buf.put_u8(mode);
-            put_ivarint(buf, base);
-            buf.put_u8(width);
-            let mut prev = base;
-            pack_bits(
-                buf,
-                vals.iter().enumerate().map(|(i, &v)| {
-                    if !m.get(i) {
-                        0
-                    } else if mode == 0 {
-                        v.wrapping_sub(base) as u64
-                    } else {
-                        let d = v.wrapping_sub(prev);
-                        prev = v;
-                        zigzag(d)
-                    }
-                }),
-                width,
-            );
+            buf.put_slice(col.validity.as_bytes());
+            match col.slots {
+                Slots::Int32(v) => encode_delta(buf, v, col, plan.delta),
+                Slots::Int64(v) => encode_delta(buf, v, col, plan.delta),
+                _ => unreachable!("only integer columns have a delta bound"),
+            }
         }
         ColumnCodec::NullSup => {
-            buf.put_u8(type_tag(a.data_type()));
-            buf.put_slice(a.validity().as_bytes());
-            match a {
-                Array::Boolean(v, m) => {
-                    for (i, &b) in v.iter().enumerate() {
-                        if m.get(i) {
-                            buf.put_u8(u8::from(b));
-                        }
-                    }
-                }
-                Array::Float64(v, m) => {
-                    for (i, &x) in v.iter().enumerate() {
-                        if m.get(i) {
-                            buf.put_f64_le(x);
-                        }
-                    }
-                }
-                Array::Utf8(v, m) => {
-                    for (i, s) in v.iter().enumerate() {
-                        if m.get(i) {
-                            put_str(buf, s);
-                        }
-                    }
-                }
-                Array::Int32(v, m) | Array::Date(v, m) => {
-                    for (i, &x) in v.iter().enumerate() {
-                        if m.get(i) {
-                            put_ivarint(buf, i64::from(x));
-                        }
-                    }
-                }
-                Array::Int64(v, m) | Array::Timestamp(v, m) => {
-                    for (i, &x) in v.iter().enumerate() {
-                        if m.get(i) {
-                            put_ivarint(buf, x);
-                        }
-                    }
-                }
+            buf.put_slice(col.validity.as_bytes());
+            match col.slots {
+                // Fixed-width, nothing suppressed: one sized copy.
+                Slots::Float64(v) if col.all_valid => put_fixed(buf, v, f64::to_le_bytes),
+                Slots::Boolean(v) if col.all_valid => put_fixed(buf, v, |b| [u8::from(b)]),
+                slots => with_slots!(slots, |v| encode_nullsup(buf, v, col)),
             }
         }
     }
-    plan.codec
+    plan
 }
 
 // ---- column decode ---------------------------------------------------------
 
-fn read_type(buf: &mut Bytes) -> Result<DataType> {
-    if !buf.has_remaining() {
+fn read_type(buf: &mut &[u8]) -> Result<DataType> {
+    if buf.is_empty() {
         return Err(truncated());
     }
     let dt = tag_type(buf.get_u8())?;
@@ -696,254 +881,307 @@ fn read_type(buf: &mut Bytes) -> Result<DataType> {
     Ok(dt)
 }
 
-fn read_bitmap(buf: &mut Bytes, rows: usize) -> Result<Bitmap> {
-    let bytes = rows.div_ceil(8);
-    if buf.remaining() < bytes {
-        return Err(truncated());
-    }
-    Ok(Bitmap::from_bytes(buf.copy_to_bytes(bytes).to_vec(), rows))
-}
-
-fn read_packed(buf: &mut Bytes, rows: usize, width: u8) -> Result<BitReader> {
-    let bytes = packed_len(rows, width);
-    if buf.remaining() < bytes {
-        return Err(truncated());
-    }
-    Ok(BitReader::new(buf.copy_to_bytes(bytes)))
-}
-
 fn narrow32(v: i64) -> Result<i32> {
     i32::try_from(v).map_err(|_| GisError::Network("32-bit column value overflows".into()))
 }
 
-fn int_array(dt: DataType, vals: Vec<i64>, validity: Bitmap) -> Result<Array> {
-    let narrow = |vals: &[i64], m: &Bitmap| -> Result<Vec<i32>> {
-        vals.iter()
-            .enumerate()
-            .map(|(i, &v)| if m.get(i) { narrow32(v) } else { Ok(0) })
-            .collect()
-    };
-    Ok(match dt {
-        DataType::Int32 => Array::Int32(narrow(&vals, &validity)?.into(), validity.into()),
-        DataType::Date => Array::Date(narrow(&vals, &validity)?.into(), validity.into()),
-        DataType::Timestamp => Array::Timestamp(vals.into(), validity.into()),
-        DataType::Int64 => Array::Int64(vals.into(), validity.into()),
-        _ => {
-            return Err(GisError::Network(
-                "integer codec on non-integer type".into(),
-            ))
+/// The validity bitmap of a `rows`-row column, as frame bytes.
+fn read_bitmap<'a>(buf: &mut &'a [u8], rows: usize) -> Result<&'a [u8]> {
+    take_bytes(buf, rows.div_ceil(8))
+}
+
+#[inline]
+fn bit(bitmap: &[u8], i: usize) -> bool {
+    bitmap[i >> 3] & (1 << (i & 7)) != 0
+}
+
+/// Set bits among the first `rows` of a packed bitmap.
+fn count_bits(bitmap: &[u8], rows: usize) -> usize {
+    let whole: usize = bitmap[..rows / 8]
+        .iter()
+        .map(|b| b.count_ones() as usize)
+        .sum();
+    match rows % 8 {
+        0 => whole,
+        rem => whole + (bitmap[rows / 8] & ((1u8 << rem) - 1)).count_ones() as usize,
+    }
+}
+
+/// A value payload as the decoders read it into a column buffer.
+trait Payload: Clone + Default {
+    fn read(buf: &mut &[u8]) -> Result<Self>;
+}
+
+impl Payload for bool {
+    fn read(buf: &mut &[u8]) -> Result<bool> {
+        Ok(take_bytes(buf, 1)?[0] != 0)
+    }
+}
+
+impl Payload for f64 {
+    fn read(buf: &mut &[u8]) -> Result<f64> {
+        let raw = take_bytes(buf, 8)?;
+        Ok(f64::from_le_bytes(raw.try_into().expect("eight bytes")))
+    }
+}
+
+impl Payload for i64 {
+    fn read(buf: &mut &[u8]) -> Result<i64> {
+        get_ivarint(buf)
+    }
+}
+
+impl Payload for i32 {
+    fn read(buf: &mut &[u8]) -> Result<i32> {
+        narrow32(get_ivarint(buf)?)
+    }
+}
+
+impl Payload for String {
+    fn read(buf: &mut &[u8]) -> Result<String> {
+        get_str(buf)
+    }
+}
+
+/// Reads one tagged value of the column's type: `None` for the NULL
+/// tag, an error for any other type.
+fn read_tagged<T: Payload>(buf: &mut &[u8], tag: u8, what: &str) -> Result<Option<T>> {
+    match take_bytes(buf, 1)?[0] {
+        0 => Ok(None),
+        t if t == tag => T::read(buf).map(Some),
+        _ => Err(GisError::Network(format!("{what} type mismatch"))),
+    }
+}
+
+fn decode_dict<T: Payload>(
+    buf: &mut &[u8],
+    rows: usize,
+    tag: u8,
+    out: &mut Vec<T>,
+    validity: &mut Bitmap,
+) -> Result<()> {
+    let bitmap = read_bitmap(buf, rows)?;
+    // Each dictionary entry costs at least its one-byte tag.
+    let d = get_count(buf, 1)?;
+    if d > DICT_MAX {
+        return Err(GisError::Network(format!(
+            "dictionary of {d} entries exceeds cap {DICT_MAX}"
+        )));
+    }
+    if d == 0 && count_bits(bitmap, rows) > 0 {
+        return Err(GisError::Network(
+            "empty dictionary with valid slots".into(),
+        ));
+    }
+    let mut entries: Vec<T> = Vec::with_capacity(d);
+    for _ in 0..d {
+        let entry = read_tagged(buf, tag, "dictionary entry")?
+            .ok_or_else(|| GisError::Network("null dictionary entry".into()))?;
+        entries.push(entry);
+    }
+    let width = take_bytes(buf, 1)?[0];
+    if width > 16 {
+        return Err(GisError::Network(format!(
+            "absurd dictionary code width {width}"
+        )));
+    }
+    let packed = take_bytes(buf, packed_len(rows, width))?;
+    out.reserve(rows);
+    unpack_bits(packed, rows, width, |i, code| {
+        out.push(if bit(bitmap, i) {
+            entries.get(code as usize).cloned().ok_or_else(|| {
+                GisError::Network(format!("dictionary code {code} out of range ({d})"))
+            })?
+        } else {
+            T::default()
+        });
+        Ok(())
+    })?;
+    validity.extend_from_packed(bitmap, rows);
+    Ok(())
+}
+
+fn decode_rle<T: Payload>(
+    buf: &mut &[u8],
+    rows: usize,
+    tag: u8,
+    out: &mut Vec<T>,
+    validity: &mut Bitmap,
+) -> Result<()> {
+    // Each run costs at least two bytes: length + value tag.
+    let n_runs = get_count(buf, 2)?;
+    let mut covered = 0usize;
+    for _ in 0..n_runs {
+        let run = usize::try_from(get_uvarint(buf)?).map_err(|_| truncated())?;
+        if run == 0 {
+            return Err(GisError::Network("zero-length run on wire".into()));
         }
-    })
+        if run > rows - covered {
+            return Err(GisError::Network(format!(
+                "run of {run} overruns {rows}-row column"
+            )));
+        }
+        let value: Option<T> = read_tagged(buf, tag, "run value")?;
+        validity.extend_constant(run, value.is_some());
+        out.resize(out.len() + run, value.unwrap_or_default());
+        covered += run;
+    }
+    if covered != rows {
+        return Err(GisError::Network(format!(
+            "runs cover {covered} of {rows} rows"
+        )));
+    }
+    Ok(())
 }
 
-fn is_integer(dt: DataType) -> bool {
-    matches!(
-        dt,
-        DataType::Int32 | DataType::Int64 | DataType::Date | DataType::Timestamp
-    )
-}
-
-fn decode_column(buf: &mut Bytes, rows: usize) -> Result<Array> {
-    if !buf.has_remaining() {
+fn decode_delta<T: Default>(
+    buf: &mut &[u8],
+    rows: usize,
+    out: &mut Vec<T>,
+    validity: &mut Bitmap,
+    narrow: impl Fn(i64) -> Result<T>,
+) -> Result<()> {
+    let bitmap = read_bitmap(buf, rows)?;
+    let mode = take_bytes(buf, 1)?[0];
+    if mode > 1 {
+        return Err(GisError::Network(format!("unknown delta mode {mode}")));
+    }
+    if buf.is_empty() {
         return Err(truncated());
     }
-    let codec = ColumnCodec::from_tag(buf.get_u8())?;
+    let base = get_ivarint(buf)?;
+    let width = take_bytes(buf, 1)?[0];
+    if width > 64 {
+        return Err(GisError::Network(format!("absurd bit width {width}")));
+    }
+    let packed = take_bytes(buf, packed_len(rows, width))?;
+    out.reserve(rows);
+    let mut prev = base;
+    unpack_bits(packed, rows, width, |i, u| {
+        out.push(if !bit(bitmap, i) {
+            T::default()
+        } else if mode == 0 {
+            narrow(base.wrapping_add(u as i64))?
+        } else {
+            prev = prev.wrapping_add(unzigzag(u));
+            narrow(prev)?
+        });
+        Ok(())
+    })?;
+    validity.extend_from_packed(bitmap, rows);
+    Ok(())
+}
+
+fn decode_nullsup<T: Payload>(
+    buf: &mut &[u8],
+    rows: usize,
+    out: &mut Vec<T>,
+    validity: &mut Bitmap,
+) -> Result<()> {
+    let bitmap = read_bitmap(buf, rows)?;
+    out.reserve(rows);
+    for i in 0..rows {
+        out.push(if bit(bitmap, i) {
+            T::read(buf)?
+        } else {
+            T::default()
+        });
+    }
+    validity.extend_from_packed(bitmap, rows);
+    Ok(())
+}
+
+/// Decodes one `rows`-row column by appending it to `out`. On error
+/// `out` may hold part of the column; [`FrameSink::append`] truncates.
+fn decode_column_into(
+    buf: &mut &[u8],
+    codec: ColumnCodec,
+    rows: usize,
+    out: &mut ArrayBuilder,
+) -> Result<()> {
+    if codec == ColumnCodec::Raw {
+        let len = decode_array_into(buf, out)?;
+        if len != rows {
+            return Err(GisError::Network(format!(
+                "column length {len} does not match row count {rows}"
+            )));
+        }
+        return Ok(());
+    }
+    let dt = read_type(buf)?;
+    expect_type(dt, out)?;
+    let tag = type_tag(dt);
+    let (values, validity) = out.parts_mut();
+    macro_rules! typed {
+        ($decode:ident $(, $extra:expr)*) => {
+            match values {
+                ValuesMut::Boolean(v) => $decode(buf, rows $(, $extra)*, v, validity),
+                ValuesMut::Int32(v) => $decode(buf, rows $(, $extra)*, v, validity),
+                ValuesMut::Int64(v) => $decode(buf, rows $(, $extra)*, v, validity),
+                ValuesMut::Float64(v) => $decode(buf, rows $(, $extra)*, v, validity),
+                ValuesMut::Utf8(v) => $decode(buf, rows $(, $extra)*, v, validity),
+            }
+        };
+    }
     match codec {
-        ColumnCodec::Raw => {
-            let a = decode_array(buf)?;
-            if a.len() != rows {
-                return Err(GisError::Network(format!(
-                    "column length {} does not match row count {rows}",
-                    a.len()
-                )));
-            }
-            Ok(a)
-        }
-        ColumnCodec::Dict => {
-            let dt = read_type(buf)?;
-            let validity = read_bitmap(buf, rows)?;
-            // Each dictionary entry costs at least its one-byte tag.
-            let d = get_count(buf, 1)?;
-            if d > DICT_MAX {
-                return Err(GisError::Network(format!(
-                    "dictionary of {d} entries exceeds cap {DICT_MAX}"
-                )));
-            }
-            if d == 0 && validity.count_set() > 0 {
-                return Err(GisError::Network(
-                    "empty dictionary with valid slots".into(),
-                ));
-            }
-            let mut values = Vec::with_capacity(d);
-            for _ in 0..d {
-                let v = decode_value(buf)?;
-                if v.is_null() {
-                    return Err(GisError::Network("null dictionary entry".into()));
-                }
-                if v.data_type() != dt {
-                    return Err(GisError::Network("dictionary entry type mismatch".into()));
-                }
-                values.push(v);
-            }
-            if !buf.has_remaining() {
-                return Err(truncated());
-            }
-            let width = buf.get_u8();
-            if width > 16 {
-                return Err(GisError::Network(format!(
-                    "absurd dictionary code width {width}"
-                )));
-            }
-            let mut codes = read_packed(buf, rows, width)?;
-            let mut b = ArrayBuilder::with_capacity(dt, rows);
-            for i in 0..rows {
-                let code = codes.read(width) as usize;
-                if validity.get(i) {
-                    let v = values.get(code).ok_or_else(|| {
-                        GisError::Network(format!("dictionary code {code} out of range ({d})"))
-                    })?;
-                    b.push_value(v)
-                        .map_err(|e| GisError::Network(format!("malformed dictionary: {e}")))?;
-                } else {
-                    b.push_null();
-                }
-            }
-            Ok(b.finish())
-        }
-        ColumnCodec::Rle => {
-            let dt = read_type(buf)?;
-            // Each run costs at least two bytes: length + value tag.
-            let n_runs = get_count(buf, 2)?;
-            let mut b = ArrayBuilder::new(dt);
-            for _ in 0..n_runs {
-                let run = usize::try_from(get_uvarint(buf)?).map_err(|_| truncated())?;
-                if run == 0 {
-                    return Err(GisError::Network("zero-length run on wire".into()));
-                }
-                if run > rows - b.len() {
-                    return Err(GisError::Network(format!(
-                        "run of {run} overruns {rows}-row column"
-                    )));
-                }
-                let v = decode_value(buf)?;
-                if !v.is_null() && v.data_type() != dt {
-                    return Err(GisError::Network("run value type mismatch".into()));
-                }
-                for _ in 0..run {
-                    b.push_value(&v)
-                        .map_err(|e| GisError::Network(format!("malformed run: {e}")))?;
-                }
-            }
-            if b.len() != rows {
-                return Err(GisError::Network(format!(
-                    "runs cover {} of {rows} rows",
-                    b.len()
-                )));
-            }
-            Ok(b.finish())
-        }
-        ColumnCodec::Delta => {
-            let dt = read_type(buf)?;
-            if !is_integer(dt) {
-                return Err(GisError::Network("delta codec on non-integer type".into()));
-            }
-            let validity = read_bitmap(buf, rows)?;
-            if buf.remaining() < 2 {
-                return Err(truncated());
-            }
-            let mode = buf.get_u8();
-            if mode > 1 {
-                return Err(GisError::Network(format!("unknown delta mode {mode}")));
-            }
-            let base = get_ivarint(buf)?;
-            if !buf.has_remaining() {
-                return Err(truncated());
-            }
-            let width = buf.get_u8();
-            if width > 64 {
-                return Err(GisError::Network(format!("absurd bit width {width}")));
-            }
-            let mut packed = read_packed(buf, rows, width)?;
-            let mut vals = Vec::with_capacity(rows);
-            let mut prev = base;
-            for i in 0..rows {
-                let u = packed.read(width);
-                if !validity.get(i) {
-                    vals.push(0);
-                } else if mode == 0 {
-                    vals.push(base.wrapping_add(u as i64));
-                } else {
-                    prev = prev.wrapping_add(unzigzag(u));
-                    vals.push(prev);
-                }
-            }
-            int_array(dt, vals, validity)
-        }
-        ColumnCodec::NullSup => {
-            let dt = read_type(buf)?;
-            let validity = read_bitmap(buf, rows)?;
-            macro_rules! sparse {
-                ($variant:ident, $default:expr, $read:expr) => {{
-                    let mut v = Vec::with_capacity(rows);
-                    for i in 0..rows {
-                        if validity.get(i) {
-                            v.push($read(buf)?);
-                        } else {
-                            v.push($default);
-                        }
-                    }
-                    Array::$variant(v.into(), validity.into())
-                }};
-            }
-            Ok(match dt {
-                DataType::Boolean => sparse!(Boolean, false, |b: &mut Bytes| {
-                    if !b.has_remaining() {
-                        return Err(truncated());
-                    }
-                    Ok::<bool, GisError>(b.get_u8() != 0)
-                }),
-                DataType::Float64 => sparse!(Float64, 0.0, |b: &mut Bytes| {
-                    if b.remaining() < 8 {
-                        return Err(truncated());
-                    }
-                    Ok::<f64, GisError>(b.get_f64_le())
-                }),
-                DataType::Utf8 => sparse!(Utf8, String::new(), get_str),
-                DataType::Int64 => sparse!(Int64, 0, get_ivarint),
-                DataType::Timestamp => sparse!(Timestamp, 0, get_ivarint),
-                DataType::Int32 => sparse!(Int32, 0, |b: &mut Bytes| narrow32(get_ivarint(b)?)),
-                DataType::Date => sparse!(Date, 0, |b: &mut Bytes| narrow32(get_ivarint(b)?)),
-                DataType::Null => unreachable!("read_type rejects the null type"),
-            })
-        }
+        ColumnCodec::Raw => unreachable!("returned above"),
+        ColumnCodec::Dict => typed!(decode_dict, tag),
+        ColumnCodec::Rle => typed!(decode_rle, tag),
+        ColumnCodec::NullSup => typed!(decode_nullsup),
+        ColumnCodec::Delta => match values {
+            ValuesMut::Int32(v) => decode_delta(buf, rows, v, validity, narrow32),
+            ValuesMut::Int64(v) => decode_delta(buf, rows, v, validity, Ok),
+            _ => Err(GisError::Network("delta codec on non-integer type".into())),
+        },
     }
 }
 
 // ---- frames ----------------------------------------------------------------
 
-/// Encodes `batch` as a compressed (version-1) frame into `buf`,
-/// returning raw/wire sizes and per-column codec counts. Batches over
-/// [`MAX_FRAME_ROWS`] take the legacy layout so every frame this
-/// function emits is decodable by [`decode_frame`].
-pub fn encode_frame_into(buf: &mut BytesMut, batch: &Batch) -> FrameStats {
-    if batch.num_rows() > MAX_FRAME_ROWS {
-        return encode_legacy_into(buf, batch);
-    }
+/// Encodes rows `[offset, offset + len)` of `batch` as one frame into
+/// `buf`, straight from the batch's buffers (no `slice` copy), and
+/// returns raw/wire sizes and per-column codec counts. With
+/// `compress` the frame is a version-1 frame of adaptively coded
+/// columns; without — or past [`MAX_FRAME_ROWS`], so that every frame
+/// this function emits is decodable by [`decode_frame`] — it takes the
+/// legacy raw layout (`raw == wire`, no codecs). Panics when the range
+/// reaches past the batch, like slicing.
+pub fn encode_range_into(
+    buf: &mut BytesMut,
+    batch: &Batch,
+    offset: usize,
+    len: usize,
+    compress: bool,
+) -> FrameStats {
     let start = buf.len();
     let mut stats = FrameStats {
-        raw: raw_frame_size(batch),
+        frames: 1,
         ..FrameStats::default()
     };
+    if !compress || len > MAX_FRAME_ROWS {
+        encode_batch_range(buf, batch, offset, len);
+        stats.wire = buf.len() - start;
+        stats.raw = stats.wire;
+        return stats;
+    }
     buf.put_u8(FRAME_MAGIC);
     buf.put_u8(FRAME_VERSION);
     encode_schema(buf, batch.schema());
-    put_uvarint(buf, batch.num_rows() as u64);
+    put_uvarint(buf, len as u64);
+    stats.raw = buf.len() - start - 2;
+    let mut dict = DictScratch::new();
     for col in batch.columns() {
-        let codec = encode_column(buf, col);
-        stats.codecs[codec as usize] += 1;
+        let plan = encode_column(buf, &ColumnRange::new(col, offset, len), &mut dict);
+        stats.raw += plan.raw;
+        stats.codecs[plan.codec as usize] += 1;
     }
     stats.wire = buf.len() - start;
     stats
+}
+
+/// [`encode_range_into`] over the whole batch, compressed.
+pub fn encode_frame_into(buf: &mut BytesMut, batch: &Batch) -> FrameStats {
+    encode_range_into(buf, batch, 0, batch.num_rows(), true)
 }
 
 /// Encodes a compressed frame, returning the frame and its stats.
@@ -953,60 +1191,130 @@ pub fn encode_frame(batch: &Batch) -> (Bytes, FrameStats) {
     (buf.freeze(), stats)
 }
 
-/// Encodes with the legacy raw layout but reports [`FrameStats`] so
-/// call sites meter both modes uniformly (`raw == wire`, no codecs).
-pub fn encode_legacy_into(buf: &mut BytesMut, batch: &Batch) -> FrameStats {
-    let start = buf.len();
-    encode_schema(buf, batch.schema());
-    put_uvarint(buf, batch.num_rows() as u64);
-    for col in batch.columns() {
-        encode_array(buf, col);
-    }
-    let wire = buf.len() - start;
-    FrameStats {
-        raw: wire,
-        wire,
-        codecs: [0; CODEC_COUNT],
-    }
-}
-
 /// True when `frame` starts with the compressed-frame header.
 pub fn is_compressed_frame(frame: &[u8]) -> bool {
     frame.len() >= 2 && frame[0] == FRAME_MAGIC && frame[1] == FRAME_VERSION
+}
+
+/// The output of one fetch: one set of column builders that every
+/// frame of the response is decoded *into*, so a cell is written once
+/// — there is no batch per frame and no concatenation afterwards.
+///
+/// [`FrameSink::append`] is all-or-nothing: a frame that fails to
+/// decode leaves the sink exactly as it was.
+#[derive(Debug)]
+pub struct FrameSink {
+    schema: SchemaRef,
+    columns: Vec<ArrayBuilder>,
+    rows: usize,
+}
+
+impl FrameSink {
+    /// An empty sink for responses of `schema`: every frame must
+    /// carry that many columns of those types.
+    pub fn new(schema: SchemaRef) -> FrameSink {
+        let columns = schema
+            .fields()
+            .iter()
+            .map(|f| ArrayBuilder::new(f.data_type))
+            .collect();
+        FrameSink {
+            schema,
+            columns,
+            rows: 0,
+        }
+    }
+
+    /// Rows appended so far.
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Decodes one frame — compressed (version 1) or legacy raw, told
+    /// apart by the first bytes — onto the end of the sink and returns
+    /// its row count.
+    pub fn append(&mut self, frame: &[u8]) -> Result<usize> {
+        let compressed = is_compressed_frame(frame);
+        let mut buf = if compressed { &frame[2..] } else { frame };
+        let appended = decode_schema(&mut buf)
+            .and_then(|schema| self.expect_schema(&schema))
+            .and_then(|()| self.append_columns(&mut buf, compressed));
+        if appended.is_err() {
+            for column in &mut self.columns {
+                column.truncate(self.rows);
+            }
+        }
+        appended
+    }
+
+    fn expect_schema(&self, frame: &Schema) -> Result<()> {
+        if frame.len() != self.columns.len() {
+            return Err(GisError::Network(format!(
+                "frame of {} columns where {} were expected",
+                frame.len(),
+                self.columns.len()
+            )));
+        }
+        frame
+            .fields()
+            .iter()
+            .zip(&self.columns)
+            .try_for_each(|(f, column)| expect_type(f.data_type, column))
+    }
+
+    /// Row count + columns + end-of-frame check; may leave a partial
+    /// append behind on error.
+    fn append_columns(&mut self, buf: &mut &[u8], compressed: bool) -> Result<usize> {
+        let rows = usize::try_from(get_uvarint(buf)?).map_err(|_| truncated())?;
+        if compressed && rows > MAX_FRAME_ROWS {
+            return Err(GisError::Network(format!(
+                "frame claims {rows} rows (cap {MAX_FRAME_ROWS})"
+            )));
+        }
+        for column in &mut self.columns {
+            let codec = if compressed {
+                ColumnCodec::from_tag(take_bytes(buf, 1)?[0])?
+            } else {
+                ColumnCodec::Raw
+            };
+            decode_column_into(buf, codec, rows, column)?;
+        }
+        if !buf.is_empty() {
+            return Err(GisError::Network("trailing bytes after frame".into()));
+        }
+        self.rows += rows;
+        Ok(rows)
+    }
+
+    /// The appended rows as one batch of the sink's schema.
+    pub fn finish(self) -> Result<Batch> {
+        let columns = self.columns.into_iter().map(ArrayBuilder::finish).collect();
+        Batch::try_new(self.schema, columns)
+            .map_err(|e| GisError::Network(format!("malformed batch on wire: {e}")))
+    }
 }
 
 /// Decodes either a compressed (version-1) or a legacy raw frame —
 /// the version-negotiation point: frames from peers that never
 /// learned the codecs take the legacy path untouched.
 pub fn decode_frame(buf: Bytes) -> Result<Batch> {
-    if !is_compressed_frame(&buf) {
-        return crate::wire::decode_batch(buf);
-    }
-    let mut buf = buf;
-    buf.advance(2);
+    decode_frame_as(&buf, is_compressed_frame(&buf))
+}
+
+/// One frame into a batch of the frame's own schema.
+pub(crate) fn decode_frame_as(frame: &[u8], compressed: bool) -> Result<Batch> {
+    let mut buf = if compressed { &frame[2..] } else { frame };
     let schema = decode_schema(&mut buf)?;
-    let rows = usize::try_from(get_uvarint(&mut buf)?).map_err(|_| truncated())?;
-    if rows > MAX_FRAME_ROWS {
-        return Err(GisError::Network(format!(
-            "frame claims {rows} rows (cap {MAX_FRAME_ROWS})"
-        )));
-    }
-    let mut columns = Vec::with_capacity(schema.len());
-    for _ in 0..schema.len() {
-        columns.push(decode_column(&mut buf, rows)?);
-    }
-    if buf.has_remaining() {
-        return Err(GisError::Network("trailing bytes after frame".into()));
-    }
-    Batch::try_new(Arc::new(schema), columns)
-        .map_err(|e| GisError::Network(format!("malformed batch on wire: {e}")))
+    let mut sink = FrameSink::new(Arc::new(schema));
+    sink.append_columns(&mut buf, compressed)?;
+    sink.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::encode_batch;
-    use gis_types::{Field, Schema};
+    use crate::wire::{encode_batch, encode_value};
+    use gis_types::{Array, Field, Value};
     use proptest::prelude::*;
     use proptest::strategy::{boxed, BoxedStrategy, Union};
 

@@ -32,8 +32,8 @@ pub use bloom::KeyBloom;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use clock::SimClock;
 pub use codec::{
-    decode_frame, encode_frame, encode_frame_into, encode_legacy_into, is_compressed_frame,
-    raw_frame_size, ColumnCodec, FrameStats, WireStats,
+    decode_frame, encode_frame, encode_frame_into, encode_range_into, is_compressed_frame,
+    raw_frame_size, ColumnCodec, FrameSink, FrameStats, WireStats,
 };
 pub use fault::{FaultPlan, FaultVerdict};
 pub use link::{Link, LinkMetrics, NetworkConditions};

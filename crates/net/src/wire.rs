@@ -16,8 +16,10 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gis_observe::Span;
-use gis_types::{Array, Batch, Bitmap, DataType, Field, GisError, Result, Schema, Value};
-use std::sync::Arc;
+use gis_types::{
+    Array, ArrayBuilder, Batch, Bitmap, DataType, Field, GisError, Result, Schema, Value, ValuesMut,
+};
+use std::borrow::Cow;
 
 // ---- varint primitives ---------------------------------------------------
 
@@ -35,7 +37,7 @@ pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
 }
 
 /// Reads an unsigned LEB128 varint.
-pub fn get_uvarint(buf: &mut Bytes) -> Result<u64> {
+pub fn get_uvarint(buf: &mut impl Buf) -> Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -56,13 +58,27 @@ pub fn get_uvarint(buf: &mut Bytes) -> Result<u64> {
 
 /// Appends `v` zigzag-encoded.
 pub fn put_ivarint(buf: &mut BytesMut, v: i64) {
-    put_uvarint(buf, ((v << 1) ^ (v >> 63)) as u64);
+    put_uvarint(buf, zigzag(v));
 }
 
 /// Reads a zigzag varint.
-pub fn get_ivarint(buf: &mut Bytes) -> Result<i64> {
+pub fn get_ivarint(buf: &mut impl Buf) -> Result<i64> {
     let u = get_uvarint(buf)?;
     Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
+}
+
+/// Bytes [`put_uvarint`] writes for `v`.
+pub(crate) fn uvarint_len(v: u64) -> usize {
+    ((64 - v.leading_zeros()) as usize).div_ceil(7).max(1)
+}
+
+pub(crate) fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Bytes [`put_ivarint`] writes for `v`.
+pub(crate) fn ivarint_len(v: i64) -> usize {
+    uvarint_len(zigzag(v))
 }
 
 pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
@@ -70,11 +86,11 @@ pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String> {
+pub(crate) fn get_str(buf: &mut impl Buf) -> Result<String> {
     let len = get_count(buf, 1)?;
     // Validate straight from the frame slice; the only allocation is
     // the returned String itself.
-    let s = std::str::from_utf8(&buf[..len])
+    let s = std::str::from_utf8(&buf.chunk()[..len])
         .map_err(|_| GisError::Network("invalid UTF-8 on wire".into()))?
         .to_string();
     buf.advance(len);
@@ -89,7 +105,7 @@ pub(crate) fn truncated() -> GisError {
 /// counted item occupies at least `min_item_bytes` on the wire, so a
 /// count that cannot possibly fit in the rest of the frame is a
 /// corrupt frame — reject it *before* it sizes an allocation.
-pub(crate) fn get_count(buf: &mut Bytes, min_item_bytes: usize) -> Result<usize> {
+pub(crate) fn get_count(buf: &mut impl Buf, min_item_bytes: usize) -> Result<usize> {
     let n = usize::try_from(get_uvarint(buf)?).map_err(|_| truncated())?;
     match n.checked_mul(min_item_bytes) {
         Some(need) if need <= buf.remaining() => Ok(n),
@@ -148,7 +164,7 @@ pub fn encode_value(buf: &mut BytesMut, v: &Value) {
 }
 
 /// Decodes a single value.
-pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
+pub fn decode_value(buf: &mut impl Buf) -> Result<Value> {
     if !buf.has_remaining() {
         return Err(truncated());
     }
@@ -195,7 +211,7 @@ pub fn encode_schema(buf: &mut BytesMut, schema: &Schema) {
 }
 
 /// Decodes a schema.
-pub fn decode_schema(buf: &mut Bytes) -> Result<Schema> {
+pub fn decode_schema(buf: &mut impl Buf) -> Result<Schema> {
     // Each field costs at least 4 bytes: empty-name varint, type tag,
     // nullable flag, qualifier flag.
     let n = get_count(buf, 4)?;
@@ -226,35 +242,93 @@ pub fn decode_schema(buf: &mut Bytes) -> Result<Schema> {
 
 // ---- arrays -------------------------------------------------------------------
 
-pub(crate) fn encode_array(buf: &mut BytesMut, a: &Array) {
-    buf.put_u8(type_tag(a.data_type()));
-    let len = a.len();
-    put_uvarint(buf, len as u64);
-    buf.put_slice(a.validity().as_bytes());
-    match a {
-        Array::Boolean(v, _) => {
-            for &b in v.iter() {
-                buf.put_u8(u8::from(b));
-            }
+/// The typed value slots of a [`ColumnRange`]. `Int32` also carries
+/// `Date` columns and `Int64` carries `Timestamp` ones; the range's
+/// `data_type` tells them apart on the wire.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slots<'a> {
+    Boolean(&'a [bool]),
+    Int32(&'a [i32]),
+    Int64(&'a [i64]),
+    Float64(&'a [f64]),
+    Utf8(&'a [String]),
+}
+
+/// Rows `[offset, offset + len)` of one column, borrowed: what every
+/// encoder takes, so a response chunk is encoded from the adapter's
+/// batch where it lies instead of from a `slice` copy of it.
+#[derive(Debug)]
+pub(crate) struct ColumnRange<'a> {
+    pub data_type: DataType,
+    pub slots: Slots<'a>,
+    /// Validity of exactly these rows (bit 0 = row `offset`).
+    pub validity: Cow<'a, Bitmap>,
+    /// No NULL among them: loops skip the bitmap altogether.
+    pub all_valid: bool,
+}
+
+impl<'a> ColumnRange<'a> {
+    /// Panics when the range reaches past the column, like slicing.
+    pub(crate) fn new(a: &'a Array, offset: usize, len: usize) -> ColumnRange<'a> {
+        let end = offset + len;
+        let slots = match a {
+            Array::Boolean(v, _) => Slots::Boolean(&v[offset..end]),
+            Array::Int32(v, _) | Array::Date(v, _) => Slots::Int32(&v[offset..end]),
+            Array::Int64(v, _) | Array::Timestamp(v, _) => Slots::Int64(&v[offset..end]),
+            Array::Float64(v, _) => Slots::Float64(&v[offset..end]),
+            Array::Utf8(v, _) => Slots::Utf8(&v[offset..end]),
+        };
+        let whole = a.validity();
+        let validity = if offset == 0 && len == whole.len() {
+            Cow::Borrowed(whole)
+        } else {
+            Cow::Owned(whole.slice(offset, len))
+        };
+        ColumnRange {
+            data_type: a.data_type(),
+            slots,
+            all_valid: validity.count_set() == len,
+            validity,
         }
-        Array::Int32(v, _) | Array::Date(v, _) => {
-            for &x in v.iter() {
-                buf.put_i32_le(x);
-            }
-        }
-        Array::Int64(v, _) | Array::Timestamp(v, _) => {
-            for &x in v.iter() {
-                buf.put_i64_le(x);
-            }
-        }
-        Array::Float64(v, _) => {
-            for &x in v.iter() {
-                buf.put_f64_le(x);
-            }
-        }
-        Array::Utf8(v, m) => {
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.validity.len()
+    }
+
+    /// Validity of row `i` of the range.
+    #[inline]
+    pub(crate) fn is_valid(&self, i: usize) -> bool {
+        self.all_valid || self.validity.get(i)
+    }
+}
+
+/// Appends `values` little-endian, `W` bytes each, as one sized run.
+pub(crate) fn put_fixed<T: Copy, const W: usize>(
+    buf: &mut BytesMut,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; W],
+) {
+    let start = buf.len();
+    buf.resize(start + values.len() * W, 0);
+    for (out, &v) in buf[start..].chunks_exact_mut(W).zip(values) {
+        out.copy_from_slice(&to_le(v));
+    }
+}
+
+/// The legacy (raw) layout of one column range.
+pub(crate) fn encode_array(buf: &mut BytesMut, col: &ColumnRange<'_>) {
+    buf.put_u8(type_tag(col.data_type));
+    put_uvarint(buf, col.len() as u64);
+    buf.put_slice(col.validity.as_bytes());
+    match col.slots {
+        Slots::Boolean(v) => put_fixed(buf, v, |b| [u8::from(b)]),
+        Slots::Int32(v) => put_fixed(buf, v, i32::to_le_bytes),
+        Slots::Int64(v) => put_fixed(buf, v, i64::to_le_bytes),
+        Slots::Float64(v) => put_fixed(buf, v, f64::to_le_bytes),
+        Slots::Utf8(v) => {
             for (i, s) in v.iter().enumerate() {
-                if m.get(i) {
+                if col.is_valid(i) {
                     put_str(buf, s);
                 } else {
                     put_uvarint(buf, 0);
@@ -264,53 +338,78 @@ pub(crate) fn encode_array(buf: &mut BytesMut, a: &Array) {
     }
 }
 
-pub(crate) fn decode_array(buf: &mut Bytes) -> Result<Array> {
-    if !buf.has_remaining() {
+/// The next `n` bytes of the cursor, or a truncation error.
+pub(crate) fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if buf.len() < n {
+        return Err(truncated());
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+/// The wire's name for a builder's column type, for mismatch errors.
+pub(crate) fn expect_type(got: DataType, builder: &ArrayBuilder) -> Result<()> {
+    if got == builder.data_type() {
+        Ok(())
+    } else {
+        Err(GisError::Network(format!(
+            "column of type {got} on wire where {} was expected",
+            builder.data_type()
+        )))
+    }
+}
+
+/// Decodes one raw-layout array by *appending* its slots to `out`,
+/// returning how many. The claimed length is bounded by the cheapest
+/// possible payload for the type (the validity bitmap only adds to the
+/// true cost) before it sizes anything, so a corrupt length cannot
+/// size a huge allocation. On error `out` may hold part of the array;
+/// the caller truncates.
+pub(crate) fn decode_array_into(buf: &mut &[u8], out: &mut ArrayBuilder) -> Result<usize> {
+    if buf.is_empty() {
         return Err(truncated());
     }
     let dt = tag_type(buf.get_u8())?;
-    // Bound the claimed length by the cheapest possible payload for
-    // this type (the validity bitmap only adds to the true cost), so
-    // a corrupt length cannot size a huge allocation.
+    if dt == DataType::Null {
+        return Err(GisError::Network("null-typed array on wire".into()));
+    }
+    expect_type(dt, out)?;
     let min_width = match dt {
         DataType::Int32 | DataType::Date => 4,
         DataType::Int64 | DataType::Timestamp | DataType::Float64 => 8,
         _ => 1,
     };
     let len = get_count(buf, min_width)?;
-    let bitmap_bytes = len.div_ceil(8);
-    if buf.remaining() < bitmap_bytes {
-        return Err(truncated());
-    }
-    let validity = Bitmap::from_bytes(buf.copy_to_bytes(bitmap_bytes).to_vec(), len);
+    let bitmap = take_bytes(buf, len.div_ceil(8))?;
+    let (values, validity) = out.parts_mut();
+    let valid_from = validity.len();
+    validity.extend_from_packed(bitmap, len);
     macro_rules! fixed {
-        ($variant:ident, $width:expr, $read:expr) => {{
+        ($v:expr, $width:expr, $read:expr) => {{
             let need = len.checked_mul($width).ok_or_else(truncated)?;
-            if buf.remaining() < need {
-                return Err(truncated());
-            }
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push($read(buf));
-            }
-            Array::$variant(v.into(), validity.into())
+            let payload = take_bytes(buf, need)?;
+            $v.extend(payload.chunks_exact($width).map($read));
         }};
     }
-    Ok(match dt {
-        DataType::Boolean => fixed!(Boolean, 1, |b: &mut Bytes| b.get_u8() != 0),
-        DataType::Int32 => fixed!(Int32, 4, |b: &mut Bytes| b.get_i32_le()),
-        DataType::Date => fixed!(Date, 4, |b: &mut Bytes| b.get_i32_le()),
-        DataType::Int64 => fixed!(Int64, 8, |b: &mut Bytes| b.get_i64_le()),
-        DataType::Timestamp => fixed!(Timestamp, 8, |b: &mut Bytes| b.get_i64_le()),
-        DataType::Float64 => fixed!(Float64, 8, |b: &mut Bytes| b.get_f64_le()),
-        DataType::Utf8 => {
-            let mut v = Vec::with_capacity(len);
+    match values {
+        ValuesMut::Boolean(v) => fixed!(v, 1, |c: &[u8]| c[0] != 0),
+        ValuesMut::Int32(v) => fixed!(v, 4, |c: &[u8]| i32::from_le_bytes(
+            c.try_into().expect("four-byte chunk")
+        )),
+        ValuesMut::Int64(v) => fixed!(v, 8, |c: &[u8]| i64::from_le_bytes(
+            c.try_into().expect("eight-byte chunk")
+        )),
+        ValuesMut::Float64(v) => fixed!(v, 8, |c: &[u8]| f64::from_le_bytes(
+            c.try_into().expect("eight-byte chunk")
+        )),
+        ValuesMut::Utf8(v) => {
+            v.reserve(len);
             for i in 0..len {
-                if validity.get(i) {
+                if validity.get(valid_from + i) {
                     v.push(get_str(buf)?);
                 } else {
-                    let z = get_uvarint(buf)?;
-                    if z != 0 {
+                    if get_uvarint(buf)? != 0 {
                         return Err(GisError::Network(
                             "non-empty payload for null string slot".into(),
                         ));
@@ -318,10 +417,9 @@ pub(crate) fn decode_array(buf: &mut Bytes) -> Result<Array> {
                     v.push(String::new());
                 }
             }
-            Array::Utf8(v.into(), validity.into())
         }
-        DataType::Null => return Err(GisError::Network("null-typed array on wire".into())),
-    })
+    }
+    Ok(len)
 }
 
 // ---- batches ----------------------------------------------------------------
@@ -329,34 +427,22 @@ pub(crate) fn decode_array(buf: &mut Bytes) -> Result<Array> {
 /// Encodes a batch (schema + columns) and returns the frame.
 pub fn encode_batch(batch: &Batch) -> Bytes {
     let mut buf = BytesMut::new();
-    encode_schema(&mut buf, batch.schema());
-    put_uvarint(&mut buf, batch.num_rows() as u64);
-    for col in batch.columns() {
-        encode_array(&mut buf, col);
-    }
+    encode_batch_range(&mut buf, batch, 0, batch.num_rows());
     buf.freeze()
 }
 
+/// Rows `[offset, offset + len)` of `batch` in the legacy layout.
+pub(crate) fn encode_batch_range(buf: &mut BytesMut, batch: &Batch, offset: usize, len: usize) {
+    encode_schema(buf, batch.schema());
+    put_uvarint(buf, len as u64);
+    for col in batch.columns() {
+        encode_array(buf, &ColumnRange::new(col, offset, len));
+    }
+}
+
 /// Decodes a batch produced by [`encode_batch`].
-pub fn decode_batch(mut buf: Bytes) -> Result<Batch> {
-    let schema = decode_schema(&mut buf)?;
-    let rows = usize::try_from(get_uvarint(&mut buf)?).map_err(|_| truncated())?;
-    let mut columns = Vec::with_capacity(schema.len());
-    for _ in 0..schema.len() {
-        let a = decode_array(&mut buf)?;
-        if a.len() != rows {
-            return Err(GisError::Network(format!(
-                "column length {} does not match row count {rows}",
-                a.len()
-            )));
-        }
-        columns.push(a);
-    }
-    if buf.has_remaining() {
-        return Err(GisError::Network("trailing bytes after batch".into()));
-    }
-    Batch::try_new(Arc::new(schema), columns)
-        .map_err(|e| GisError::Network(format!("malformed batch on wire: {e}")))
+pub fn decode_batch(buf: Bytes) -> Result<Batch> {
+    crate::codec::decode_frame_as(&buf, false)
 }
 
 /// Encodes a list of scalar values (bind-join key shipping).
@@ -367,6 +453,19 @@ pub fn encode_values(values: &[Value]) -> Bytes {
         encode_value(&mut buf, v);
     }
     buf.freeze()
+}
+
+/// Exact length of [`encode_values`]`(values)`, without encoding.
+pub fn values_wire_size(values: &[Value]) -> usize {
+    let payload = |v: &Value| match v {
+        Value::Null => 0,
+        Value::Boolean(_) => 1,
+        Value::Int32(x) | Value::Date(x) => ivarint_len(i64::from(*x)),
+        Value::Int64(x) | Value::Timestamp(x) => ivarint_len(*x),
+        Value::Float64(_) => 8,
+        Value::Utf8(s) => uvarint_len(s.len() as u64) + s.len(),
+    };
+    uvarint_len(values.len() as u64) + values.iter().map(|v| 1 + payload(v)).sum::<usize>()
 }
 
 /// Decodes a list of scalar values.
@@ -520,7 +619,8 @@ mod tests {
         buf.put_u8(type_tag(DataType::Int64));
         put_uvarint(&mut buf, huge);
         buf.put_u8(0xFF); // one stray bitmap byte
-        assert!(decode_array(&mut buf.freeze()).is_err());
+        let mut out = ArrayBuilder::new(DataType::Int64);
+        assert!(decode_array_into(&mut &buf[..], &mut out).is_err());
 
         // Utf8 array whose length passes the bitmap check but not the
         // one-byte-per-slot payload bound.
@@ -528,7 +628,8 @@ mod tests {
         buf.put_u8(type_tag(DataType::Utf8));
         put_uvarint(&mut buf, 64); // needs 8 bitmap bytes + 64 payload bytes
         buf.put_slice(&[0xFF; 8]);
-        assert!(decode_array(&mut buf.freeze()).is_err());
+        let mut out = ArrayBuilder::new(DataType::Utf8);
+        assert!(decode_array_into(&mut &buf[..], &mut out).is_err());
 
         // Value list with a huge count.
         let mut buf = BytesMut::new();
@@ -615,6 +716,19 @@ mod tests {
             Value::Timestamp(-5),
         ];
         assert_eq!(decode_values(encode_values(&vals)).unwrap(), vals);
+        // The size formula is the encoder's length, key by key.
+        for n in 0..=vals.len() {
+            assert_eq!(
+                values_wire_size(&vals[..n]),
+                encode_values(&vals[..n]).len()
+            );
+        }
+        let extremes = [
+            Value::Int64(i64::MIN),
+            Value::Int32(i32::MIN),
+            Value::Date(-1),
+        ];
+        assert_eq!(values_wire_size(&extremes), encode_values(&extremes).len());
     }
 
     proptest! {

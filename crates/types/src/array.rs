@@ -173,7 +173,35 @@ impl Array {
     /// Gather: new array containing `indices` slots in order. Invalid
     /// slots come out zeroed whatever the input buffer held.
     pub fn take(&self, indices: &[usize]) -> Array {
+        self.take_by(indices.iter().copied())
+    }
+
+    /// [`Array::take`] over any re-iterable index source, so a caller
+    /// holding its row numbers in another shape (one side of a join's
+    /// `(u32, u32)` pair list) gathers from it directly.
+    pub fn take_by<I>(&self, indices: I) -> Array
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
         rebuild!(self, (v, m) => gather(v, m, indices))
+    }
+
+    /// Gather with holes: `None` yields a NULL slot (the padded side of
+    /// an outer join).
+    pub fn take_opt<I>(&self, indices: I) -> Array
+    where
+        I: Iterator<Item = Option<usize>> + Clone,
+    {
+        rebuild!(self, (v, m) => (
+            indices
+                .clone()
+                .map(|i| match i {
+                    Some(i) if m.get(i) => v[i].clone(),
+                    _ => Default::default(),
+                })
+                .collect(),
+            indices.map(|i| i.is_some_and(|i| m.get(i))).collect(),
+        ))
     }
 
     /// Filter: keep the slots where `keep` is true.
@@ -297,18 +325,21 @@ impl Array {
 }
 
 /// The `indices` slots of one column's halves, in order.
-fn gather<T: Clone + Default>(v: &[T], m: &Bitmap, indices: &[usize]) -> (Vec<T>, Bitmap) {
+fn gather<T, I>(v: &[T], m: &Bitmap, indices: I) -> (Vec<T>, Bitmap)
+where
+    T: Clone + Default,
+    I: Iterator<Item = usize> + Clone,
+{
     if m.all_set() {
-        return (
-            indices.iter().map(|&i| v[i].clone()).collect(),
-            Bitmap::from_element(indices.len(), true),
-        );
+        let vals: Vec<T> = indices.map(|i| v[i].clone()).collect();
+        let valid = Bitmap::from_element(vals.len(), true);
+        return (vals, valid);
     }
     let vals = indices
-        .iter()
-        .map(|&i| if m.get(i) { v[i].clone() } else { T::default() })
+        .clone()
+        .map(|i| if m.get(i) { v[i].clone() } else { T::default() })
         .collect();
-    (vals, m.take(indices))
+    (vals, indices.map(|i| m.get(i)).collect())
 }
 
 /// Positions of the `true` entries of a keep-mask.
@@ -338,6 +369,23 @@ enum Values {
     Utf8(Vec<String>),
     Date(Vec<i32>),
     Timestamp(Vec<i64>),
+}
+
+/// The values half of an [`ArrayBuilder`], borrowed for a bulk append
+/// (see [`ArrayBuilder::parts_mut`]). `Int32` also backs `Date`
+/// columns and `Int64` backs `Timestamp` ones.
+#[derive(Debug)]
+pub enum ValuesMut<'a> {
+    /// Boolean slots.
+    Boolean(&'a mut Vec<bool>),
+    /// 32-bit slots (`Int32`, `Date`).
+    Int32(&'a mut Vec<i32>),
+    /// 64-bit slots (`Int64`, `Timestamp`).
+    Int64(&'a mut Vec<i64>),
+    /// Float slots.
+    Float64(&'a mut Vec<f64>),
+    /// String slots.
+    Utf8(&'a mut Vec<String>),
 }
 
 /// Incremental builder for an [`Array`]. It owns plain, growable
@@ -397,6 +445,46 @@ impl ArrayBuilder {
         self.validity.is_empty()
     }
 
+    /// Reserves room for `additional` more slots.
+    pub fn reserve(&mut self, additional: usize) {
+        match &mut self.values {
+            Values::Boolean(v) => v.reserve(additional),
+            Values::Int32(v) | Values::Date(v) => v.reserve(additional),
+            Values::Int64(v) | Values::Timestamp(v) => v.reserve(additional),
+            Values::Float64(v) => v.reserve(additional),
+            Values::Utf8(v) => v.reserve(additional),
+        }
+    }
+
+    /// Drops every slot from `len` on — how a bulk append that failed
+    /// half way is undone. A no-op when already shorter.
+    pub fn truncate(&mut self, len: usize) {
+        match &mut self.values {
+            Values::Boolean(v) => v.truncate(len),
+            Values::Int32(v) | Values::Date(v) => v.truncate(len),
+            Values::Int64(v) | Values::Timestamp(v) => v.truncate(len),
+            Values::Float64(v) => v.truncate(len),
+            Values::Utf8(v) => v.truncate(len),
+        }
+        self.validity.truncate(len);
+    }
+
+    /// Both halves, for a decoder that appends many slots at once
+    /// straight into the buffers. The caller must leave them the same
+    /// length (a NULL slot still occupies a zeroed value);
+    /// [`ArrayBuilder::finish`] checks that it did, and
+    /// [`ArrayBuilder::truncate`] restores it after a failed append.
+    pub fn parts_mut(&mut self) -> (ValuesMut<'_>, &mut Bitmap) {
+        let values = match &mut self.values {
+            Values::Boolean(v) => ValuesMut::Boolean(v),
+            Values::Int32(v) | Values::Date(v) => ValuesMut::Int32(v),
+            Values::Int64(v) | Values::Timestamp(v) => ValuesMut::Int64(v),
+            Values::Float64(v) => ValuesMut::Float64(v),
+            Values::Utf8(v) => ValuesMut::Utf8(v),
+        };
+        (values, &mut self.validity)
+    }
+
     /// Appends a NULL slot.
     pub fn push_null(&mut self) {
         match &mut self.values {
@@ -441,8 +529,18 @@ impl ArrayBuilder {
         self.push_value(&Value::Boolean(x))
     }
 
-    /// Consumes the builder, yielding the array.
+    /// Consumes the builder, yielding the array. Panics when a bulk
+    /// append through [`ArrayBuilder::parts_mut`] left the two halves
+    /// at different lengths.
     pub fn finish(self) -> Array {
+        let slots = match &self.values {
+            Values::Boolean(v) => v.len(),
+            Values::Int32(v) | Values::Date(v) => v.len(),
+            Values::Int64(v) | Values::Timestamp(v) => v.len(),
+            Values::Float64(v) => v.len(),
+            Values::Utf8(v) => v.len(),
+        };
+        assert_eq!(slots, self.validity.len(), "array builder halves diverged");
         let validity = Arc::new(self.validity);
         match self.values {
             Values::Boolean(v) => Array::Boolean(Arc::new(v), validity),
@@ -486,6 +584,56 @@ mod tests {
         let mut b = ArrayBuilder::new(DataType::Int64);
         assert!(b.push_value(&Value::Utf8("x".into())).is_err());
         assert!(b.push_value(&Value::Null).is_ok());
+    }
+
+    #[test]
+    fn bulk_append_and_truncate() {
+        let mut b = ArrayBuilder::new(DataType::Date);
+        b.push_value(&Value::Date(1)).unwrap();
+        b.reserve(3);
+        if let (ValuesMut::Int32(v), m) = b.parts_mut() {
+            v.extend_from_slice(&[0, 7, 8]);
+            m.extend_from_packed(&[0b110], 3);
+        }
+        assert_eq!(b.len(), 4);
+        b.truncate(3);
+        b.truncate(9);
+        assert_eq!(
+            b.finish().iter_values().collect::<Vec<_>>(),
+            vec![Value::Date(1), Value::Null, Value::Date(7)]
+        );
+        let mut b = ArrayBuilder::new(DataType::Utf8);
+        if let (ValuesMut::Utf8(v), _) = b.parts_mut() {
+            v.push("half".into());
+        }
+        b.truncate(0);
+        assert!(b.finish().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "halves diverged")]
+    fn finish_refuses_diverged_halves() {
+        let mut b = ArrayBuilder::new(DataType::Int64);
+        if let (ValuesMut::Int64(v), _) = b.parts_mut() {
+            v.push(1);
+        }
+        b.finish();
+    }
+
+    #[test]
+    fn take_by_and_take_opt_gather_like_take() {
+        let a = int_array(&[Some(10), None, Some(30), Some(40)]);
+        let pairs = [(3u32, 0u32), (1, 1), (0, 2)];
+        assert_eq!(
+            a.take_by(pairs.iter().map(|p| p.0 as usize)),
+            a.take(&[3, 1, 0])
+        );
+        let holes = a.take_opt([Some(2), None, Some(1)].into_iter());
+        assert_eq!(
+            holes.iter_values().collect::<Vec<_>>(),
+            vec![Value::Int64(30), Value::Null, Value::Null]
+        );
+        assert_eq!(holes, int_array(&[Some(30), None, None]));
     }
 
     #[test]

@@ -120,16 +120,6 @@ impl Bitmap {
         (0..self.len).filter(|&i| self.get(i)).collect()
     }
 
-    /// Returns a new bitmap keeping only the slots in `indices`
-    /// (the gather/take operation used by selection vectors).
-    pub fn take(&self, indices: &[usize]) -> Bitmap {
-        let mut out = Bitmap::with_capacity(indices.len());
-        for &i in indices {
-            out.push(self.get(i));
-        }
-        out
-    }
-
     /// Returns the slice `[offset, offset+len)` as a new bitmap.
     pub fn slice(&self, offset: usize, len: usize) -> Bitmap {
         assert!(offset + len <= self.len, "slice out of bounds");
@@ -158,6 +148,54 @@ impl Bitmap {
         }
         for v in other.iter() {
             self.push(v);
+        }
+    }
+
+    /// Appends `len` slots read LSB-first from packed `bytes` (which
+    /// must hold at least `len.div_ceil(8)` of them); bits past `len`
+    /// are ignored.
+    pub fn extend_from_packed(&mut self, bytes: &[u8], len: usize) {
+        let bytes = &bytes[..len.div_ceil(8)];
+        let shift = self.len % 8;
+        if shift == 0 {
+            self.bits.extend_from_slice(bytes);
+        } else {
+            for &b in bytes {
+                if let Some(last) = self.bits.last_mut() {
+                    *last |= b << shift;
+                }
+                self.bits.push(b >> (8 - shift));
+            }
+        }
+        self.len += len;
+        self.bits.truncate(self.len.div_ceil(8));
+        self.mask_tail();
+    }
+
+    /// Appends `n` slots, all `value`.
+    pub fn extend_constant(&mut self, n: usize, value: bool) {
+        if n == 0 {
+            return;
+        }
+        let old = self.len;
+        self.len += n;
+        self.bits
+            .resize(self.len.div_ceil(8), if value { 0xFF } else { 0 });
+        if value {
+            // The byte the old tail shared gains its upper bits.
+            if old % 8 != 0 {
+                self.bits[old / 8] |= 0xFFu8 << (old % 8);
+            }
+            self.mask_tail();
+        }
+    }
+
+    /// Drops every slot from `len` on; a no-op when already shorter.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.len = len;
+            self.bits.truncate(len.div_ceil(8));
+            self.mask_tail();
         }
     }
 
@@ -255,12 +293,8 @@ mod tests {
     }
 
     #[test]
-    fn take_and_slice() {
+    fn slice_copies_a_range() {
         let bm = Bitmap::from_bools(&[true, false, true, true, false]);
-        assert_eq!(
-            bm.take(&[4, 2, 0]).iter().collect::<Vec<_>>(),
-            vec![false, true, true]
-        );
         assert_eq!(
             bm.slice(1, 3).iter().collect::<Vec<_>>(),
             vec![false, true, true]
@@ -281,6 +315,45 @@ mod tests {
             let mut joined = Bitmap::from_bools(&pattern[..head]);
             joined.extend_from(&Bitmap::from_bools(&pattern[head..]));
             assert_eq!(joined, bm, "extend at {head}");
+        }
+    }
+
+    #[test]
+    fn bulk_appends_and_truncate_match_the_bit_loop() {
+        let pattern: Vec<bool> = (0..91).map(|i| i % 5 != 2 && i % 7 != 0).collect();
+        let whole = Bitmap::from_bools(&pattern);
+        for head in [0, 3, 8, 13, 64] {
+            for len in [0, 1, 7, 8, 9, 27] {
+                // Packed bytes with garbage past `len`.
+                let mut packed = Bitmap::from_bools(&pattern[head..head + len])
+                    .as_bytes()
+                    .to_vec();
+                if let Some(last) = packed.last_mut() {
+                    if len % 8 != 0 {
+                        *last |= 0xFFu8 << (len % 8);
+                    }
+                }
+                packed.push(0xAB);
+                let mut got = Bitmap::from_bools(&pattern[..head]);
+                got.extend_from_packed(&packed, len);
+                assert_eq!(
+                    got,
+                    Bitmap::from_bools(&pattern[..head + len]),
+                    "{head}+{len}"
+                );
+                for value in [true, false] {
+                    let mut run = Bitmap::from_bools(&pattern[..head]);
+                    run.extend_constant(len, value);
+                    let mut want = pattern[..head].to_vec();
+                    want.extend(std::iter::repeat(value).take(len));
+                    assert_eq!(run, Bitmap::from_bools(&want), "{head}+{len}x{value}");
+                }
+            }
+            let mut cut = whole.clone();
+            cut.truncate(head);
+            assert_eq!(cut, Bitmap::from_bools(&pattern[..head]));
+            cut.truncate(head + 5);
+            assert_eq!(cut.len(), head);
         }
     }
 

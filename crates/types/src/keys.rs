@@ -30,8 +30,11 @@
 //! the NaN class before falling back to `total_cmp`.
 
 use crate::array::Array;
+use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Seed for per-row hash accumulators. Callers initialize their hash
 /// vector with this before folding columns in with [`hash_column`].
@@ -291,6 +294,108 @@ pub fn encode_fixed(cols: &[&Array], n: usize, layout: &FixedKeyLayout) -> Vec<u
     keys
 }
 
+/// [`encode_fixed`] for a key too wide as it stands: every `Utf8`
+/// column is first replaced by a four-byte dictionary code, numbered
+/// per call in first-occurrence order, so two rows still encode to the
+/// same `u128` iff they are equal keys. `None` when there is no string
+/// column to shrink or the tuple does not fit even so.
+pub fn encode_fixed_coded(cols: &[&Array], n: usize) -> Option<Vec<u128>> {
+    let coded_width = |a: &&Array| match a {
+        Array::Utf8(..) => Some(4),
+        other => fixed_key_width(other.data_type()),
+    };
+    let total = cols.iter().map(coded_width).sum::<Option<usize>>()?;
+    if total > FIXED_KEY_BUDGET || !cols.iter().any(|a| matches!(a, Array::Utf8(..))) {
+        return None;
+    }
+    let coded: Vec<Array> = cols
+        .iter()
+        .map(|a| match a {
+            Array::Utf8(v, m) => Array::Int32(Arc::new(dictionary_codes(v, m)), m.clone()),
+            other => (*other).clone(),
+        })
+        .collect();
+    let refs: Vec<&Array> = coded.iter().collect();
+    let layout = FixedKeyLayout::plan(&[&refs])?;
+    Some(encode_fixed(&refs, n, &layout))
+}
+
+/// A code per slot such that two valid slots share a code iff their
+/// strings are equal; NULL slots get 0 (their validity bit tells them
+/// apart).
+fn dictionary_codes(values: &[String], validity: &Bitmap) -> Vec<i32> {
+    let mut codes: HashMap<&str, i32, BuildWordHasher> = HashMap::default();
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            if !validity.get(i) {
+                return 0;
+            }
+            let next = codes.len() as i32;
+            *codes.entry(s.as_str()).or_insert(next)
+        })
+        .collect()
+}
+
+/// A multiply-rotate hasher that eats eight bytes per step: enough
+/// for a per-call dictionary of key strings, where SipHash would cost
+/// more than the rest of the grouping.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+type BuildWordHasher = std::hash::BuildHasherDefault<WordHasher>;
+
+impl WordHasher {
+    #[inline]
+    fn eat(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix(self.0)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        // Tails are read as overlapping fixed-width loads: copying a
+        // variable number of bytes into a word costs more than the
+        // hash itself on the short strings keys are.
+        let n = bytes.len();
+        let word =
+            |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"));
+        let half = |at: usize| {
+            u64::from(u32::from_le_bytes(
+                bytes[at..at + 4].try_into().expect("four bytes"),
+            ))
+        };
+        if n >= 8 {
+            let mut at = 0;
+            while at + 8 <= n {
+                self.eat(word(at));
+                at += 8;
+            }
+            if at < n {
+                self.eat(word(n - 8));
+            }
+        } else if n >= 4 {
+            self.eat(half(0) | half(n - 4) << 32);
+        } else if n > 0 {
+            let (first, mid, last) = (bytes[0], bytes[n / 2], bytes[n - 1]);
+            self.eat(u64::from(first) | u64::from(mid) << 8 | u64::from(last) << 16);
+        }
+        self.eat(n as u64);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.eat(u64::from(v));
+    }
+}
+
 /// Scrambles a `u128` fixed key down to a partitioning hash.
 #[inline]
 pub fn hash_u128(k: u128) -> u64 {
@@ -461,6 +566,40 @@ mod tests {
         let keys = encode_fixed(&[&s], 3, &layout);
         assert_ne!(keys[0], keys[1], "length byte separates zero padding");
         assert_eq!(keys[0], keys[2]);
+    }
+
+    #[test]
+    fn coded_encoding_fits_wide_strings_and_stays_exact() {
+        let wide = |vals: &[Option<&str>]| {
+            arr(
+                DataType::Utf8,
+                &vals
+                    .iter()
+                    .map(|v| v.map(|s| Value::Utf8(format!("{s}-padded-well-past-the-budget"))))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let a = wide(&[Some("x"), Some("y"), Some("x"), None, Some(""), None]);
+        let b = wide(&[Some("p"), Some("p"), Some("p"), Some("q"), None, Some("q")]);
+        let i = arr(
+            DataType::Int32,
+            &[1, 1, 1, 2, 2, 2].map(|v| Some(Value::Int32(v))),
+        );
+        assert!(FixedKeyLayout::plan(&[&[&a, &b, &i]]).is_none());
+        let keys = encode_fixed_coded(&[&a, &b, &i], 6).expect("4 + 4 + 4 bytes fit");
+        for r in 0..6 {
+            for q in 0..6 {
+                assert_eq!(
+                    keys[r] == keys[q],
+                    rows_eq(&[&a, &b, &i], r, &[&a, &b, &i], q),
+                    "rows {r} and {q}"
+                );
+            }
+        }
+        assert_eq!(keys[0], keys[2]);
+        // Nothing to shrink, or too wide even at four bytes a string.
+        assert!(encode_fixed_coded(&[&i, &i], 6).is_none());
+        assert!(encode_fixed_coded(&[&a, &b, &a, &b], 6).is_none());
     }
 
     #[test]

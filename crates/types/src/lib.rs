@@ -32,7 +32,7 @@ pub mod row;
 pub mod schema;
 pub mod value;
 
-pub use array::{Array, ArrayBuilder, Buffer};
+pub use array::{Array, ArrayBuilder, Buffer, ValuesMut};
 pub use batch::Batch;
 pub use bitmap::Bitmap;
 pub use datatype::DataType;

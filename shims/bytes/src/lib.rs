@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::ops::{Deref, RangeBounds};
+use std::ops::{Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous byte buffer.
@@ -168,6 +168,13 @@ impl BytesMut {
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional);
     }
+
+    /// Grows (filling with `value`) or shrinks the buffer to
+    /// `new_len` bytes — with `DerefMut`, how an encoder sizes a run
+    /// once and then writes whole words into it.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.data.resize(new_len, value);
+    }
 }
 
 impl From<&[u8]> for BytesMut {
@@ -180,6 +187,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -351,6 +364,16 @@ mod tests {
         assert_eq!(r.get_i64_le(), 1 << 40);
         assert_eq!(r.get_f64_le(), 2.5);
         assert!(!r.has_remaining());
+    }
+
+    #[test]
+    fn resize_then_write_in_place() {
+        let mut w = BytesMut::from(&[1u8, 2][..]);
+        w.resize(6, 0);
+        w[2..6].copy_from_slice(&7u32.to_le_bytes());
+        assert_eq!(&w[..], &[1, 2, 7, 0, 0, 0]);
+        w.resize(1, 0);
+        assert_eq!(w.freeze(), Bytes::from(vec![1]));
     }
 
     #[test]

@@ -59,9 +59,9 @@ fn queries_survive_transient_failures() {
         sort: vec![],
         limit: None,
     };
-    let (batches, _) = remote.fetch(&req, false, None).unwrap();
-    let total: usize = batches.iter().map(|b| b.num_rows()).sum();
-    assert_eq!(total, 10);
+    let schema = remote.adapter().table_schema("t").unwrap();
+    let (batch, _) = remote.fetch(&req, &schema, false, None).unwrap();
+    assert_eq!(batch.num_rows(), 10);
     assert_eq!(remote.link().metrics().failures(), 2);
 }
 
@@ -76,10 +76,11 @@ fn partition_fails_after_retries_with_retryable_error() {
         sort: vec![],
         limit: None,
     };
-    let err = remote.fetch(&req, false, None).unwrap_err();
+    let schema = remote.adapter().table_schema("t").unwrap();
+    let err = remote.fetch(&req, &schema, false, None).unwrap_err();
     assert!(err.is_retryable());
     remote.link().faults().heal();
-    assert!(remote.fetch(&req, false, None).is_ok());
+    assert!(remote.fetch(&req, &schema, false, None).is_ok());
 }
 
 #[test]
@@ -94,9 +95,10 @@ fn periodic_faults_slow_but_do_not_break() {
         limit: None,
     };
     // Several queries in a row: retries absorb the periodic faults.
+    let schema = remote.adapter().table_schema("t").unwrap();
     for _ in 0..10 {
-        let (batches, _) = remote.fetch(&req, false, None).unwrap();
-        assert_eq!(batches.iter().map(|b| b.num_rows()).sum::<usize>(), 10);
+        let (batch, _) = remote.fetch(&req, &schema, false, None).unwrap();
+        assert_eq!(batch.num_rows(), 10);
     }
     assert!(remote.link().metrics().failures() > 0);
 }

@@ -29,7 +29,7 @@ use gis::core::exec::physical::PhysicalSortKey;
 use gis::core::exec::sort::sort_batch;
 use gis::core::expr::ScalarExpr;
 use gis::core::plan::logical::{AggregateExpr, JoinNode};
-use gis::sql::ast::JoinKind;
+use gis::sql::ast::{BinaryOp, JoinKind};
 use gis::storage::RowStore;
 use gis::types::ordering::{sort_indices, sorted_indices};
 use gis::types::{Batch, DataType, Field, MemBudget, Schema, SchemaRef, SortKey, Value};
@@ -88,7 +88,9 @@ impl KeyKind {
                 _ => Value::Float64(v as f64 / 2.0),
             },
             KeyKind::Utf8Short => Value::Utf8(format!("k{v}")),
-            // Long enough to defeat the u128 fixed-key layout.
+            // Long enough to defeat the u128 fixed-key layout (beside
+            // the empty string).
+            KeyKind::Utf8Long if v == 0 => Value::Utf8(String::new()),
             KeyKind::Utf8Long => Value::Utf8(format!("key-{v:+060}")),
             KeyKind::Date => Value::Date(v as i32 - 3),
             KeyKind::Boolean => Value::Boolean(v % 2 == 0),
@@ -194,48 +196,84 @@ fn join_schema(l: &Batch, r: &Batch, kind: JoinKind) -> SchemaRef {
     JoinNode::compute_schema(l.schema(), r.schema(), kind)
 }
 
+/// Output lists for a `width`-column join: everything, a strict
+/// subset, and a reordered list that repeats a column.
+fn output_lists(width: usize) -> [Option<Vec<usize>>; 3] {
+    let reordered = (0..width).rev().chain([0]).collect();
+    [None, Some((0..width).step_by(2).collect()), Some(reordered)]
+}
+
 fn check_join(kinds: &[KeyKind], left: &Batch, right: &Batch) -> Result<(), TestCaseError> {
     let key_cols: Vec<usize> = (0..kinds.len()).collect();
+    // ON … AND left.payload <= right.payload, over `left ++ right`.
+    let residual = ScalarExpr::col(kinds.len()).binary(
+        BinaryOp::LtEq,
+        ScalarExpr::col(left.num_columns() + kinds.len()),
+    );
     for jk in all_join_kinds() {
         let schema = join_schema(left, right, jk);
-        let want = hash_join_ref(left, right, &key_cols, &key_cols, jk, None, schema.clone())
-            .expect("reference join")
-            .to_rows();
-        for (mode, opts) in kernel_modes() {
-            for (bmode, budget) in budgets() {
-                let gov = match &budget {
-                    Some(b) => KernelGov::new(b, None, 0),
-                    None => KernelGov::unbounded(),
+        for residual in [None, Some(&residual)] {
+            let want = hash_join_ref(
+                left,
+                right,
+                &key_cols,
+                &key_cols,
+                jk,
+                residual,
+                schema.clone(),
+            )
+            .expect("reference join");
+            for output in output_lists(schema.len()) {
+                // The pruned join must equal the full join projected.
+                let (want, out_schema) = match &output {
+                    Some(kept) => (
+                        want.project(kept).expect("project").to_rows(),
+                        Schema::new(schema.project(kept).fields().to_vec()).into_ref(),
+                    ),
+                    None => (want.to_rows(), schema.clone()),
                 };
-                let (got, _) = hash_join(
-                    left,
-                    right,
-                    &key_cols,
-                    &key_cols,
-                    jk,
-                    None,
-                    schema.clone(),
-                    &opts,
-                    &gov,
-                )
-                .expect("kernel join");
-                prop_assert_eq!(
-                    got.to_rows(),
-                    want.clone(),
-                    "join kind {:?}, kernel mode {}, budget {}, kinds {:?}",
-                    jk,
-                    mode,
-                    bmode,
-                    kinds
-                );
+                for (mode, opts) in kernel_modes() {
+                    for (bmode, budget) in budgets() {
+                        let gov = match &budget {
+                            Some(b) => KernelGov::new(b, None, 0),
+                            None => KernelGov::unbounded(),
+                        };
+                        let (got, _) = hash_join(
+                            left,
+                            right,
+                            &key_cols,
+                            &key_cols,
+                            jk,
+                            residual,
+                            output.as_deref(),
+                            out_schema.clone(),
+                            &opts,
+                            &gov,
+                        )
+                        .expect("kernel join");
+                        prop_assert_eq!(got.schema(), &out_schema);
+                        prop_assert_eq!(
+                            got.to_rows(),
+                            want.clone(),
+                            "join kind {:?}, residual {}, output {:?}, kernel mode {}, budget {}, kinds {:?}",
+                            jk,
+                            residual.is_some(),
+                            output,
+                            mode,
+                            bmode,
+                            kinds
+                        );
+                    }
+                }
             }
         }
     }
     Ok(())
 }
 
-fn agg_exprs() -> Vec<AggregateExpr> {
-    let arg = || Some(ScalarExpr::col(1));
+/// Every aggregate shape over column `arg_col`.
+fn agg_exprs(arg_col: usize) -> Vec<AggregateExpr> {
+    let arg = || Some(ScalarExpr::col(arg_col));
     vec![
         AggregateExpr {
             func: AggFunc::Count,
@@ -275,8 +313,12 @@ fn agg_exprs() -> Vec<AggregateExpr> {
     ]
 }
 
-fn agg_schema(key: KeyKind, aggs: &[AggregateExpr]) -> SchemaRef {
-    let mut fields = vec![Field::new("k0", key.data_type()).with_nullable(true)];
+fn agg_schema(keys: &[KeyKind], aggs: &[AggregateExpr]) -> SchemaRef {
+    let mut fields: Vec<Field> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| Field::new(format!("k{i}"), k.data_type()).with_nullable(true))
+        .collect();
     for a in aggs {
         let t = match a.func {
             AggFunc::Avg => DataType::Float64,
@@ -287,31 +329,40 @@ fn agg_schema(key: KeyKind, aggs: &[AggregateExpr]) -> SchemaRef {
     Schema::new(fields).into_ref()
 }
 
-fn check_group_by(kind: KeyKind, input: &Batch) -> Result<(), TestCaseError> {
-    // The key column doubles as payload column 1's neighbor: group by
-    // column 0, aggregate column 1 (the Int64 payload).
-    let aggs = agg_exprs();
-    let schema = agg_schema(kind, &aggs);
-    let groups = [ScalarExpr::col(0)];
-    let want = hash_aggregate_ref(input, &groups, &aggs, schema.clone())
+/// Groups by the leading `kinds.len()` columns and aggregates the
+/// Int64 payload that follows them; `mode` (when given) is the key
+/// representation the unbounded production kernel must report.
+fn check_group_by(
+    kinds: &[KeyKind],
+    input: &Batch,
+    aggs: &[AggregateExpr],
+    mode: Option<&str>,
+) -> Result<(), TestCaseError> {
+    let schema = agg_schema(kinds, aggs);
+    let groups: Vec<ScalarExpr> = (0..kinds.len()).map(ScalarExpr::col).collect();
+    let want = hash_aggregate_ref(input, &groups, aggs, schema.clone())
         .expect("reference aggregate")
         .to_rows();
-    for (mode, opts) in kernel_modes() {
+    for (kmode, opts) in kernel_modes() {
         for (bmode, budget) in budgets() {
             let gov = match &budget {
                 Some(b) => KernelGov::new(b, None, 0),
                 None => KernelGov::unbounded(),
             };
-            let (got, _) = hash_aggregate(input, &groups, &aggs, schema.clone(), &opts, &gov)
+            let (got, stats) = hash_aggregate(input, &groups, aggs, schema.clone(), &opts, &gov)
                 .expect("kernel aggregate");
             prop_assert_eq!(
                 got.to_rows(),
                 want.clone(),
-                "group-by kernel mode {}, budget {}, key kind {:?}",
-                mode,
+                "group-by kernel mode {}, budget {}, key kinds {:?}",
+                kmode,
                 bmode,
-                kind
+                kinds
             );
+            if let (Some(mode), "serial") = (mode, kmode) {
+                let spilled = if budget.is_some() { "-spill" } else { "" };
+                prop_assert_eq!(stats.mode.to_string(), format!("{mode}{spilled}"));
+            }
         }
     }
     Ok(())
@@ -520,6 +571,52 @@ fn check_source_sort(batch: &Batch, keys: &[SortKey]) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// More distinct strings than a 16-bit code could number: the
+/// per-call dictionary keeps numbering, in memory and spilled.
+#[test]
+fn dictionary_coded_group_keys_past_65536_distinct_values() {
+    let kinds = [KeyKind::Utf8Long, KeyKind::Utf8Long];
+    let n = 70_000i64;
+    let distinct: RawCol = (0..n).map(|i| (i % 997 == 0, i % 66_000 + 1)).collect();
+    let few: RawCol = (0..n).map(|i| (i % 31 == 0, i % 3)).collect();
+    let payload: RawCol = (0..n).map(|i| (false, i % 11)).collect();
+    let input = build_batch(&kinds, &[distinct, few], &payload);
+    let aggs = [
+        AggregateExpr {
+            func: AggFunc::Count,
+            arg: None,
+            distinct: false,
+        },
+        AggregateExpr {
+            func: AggFunc::Sum,
+            arg: Some(ScalarExpr::col(2)),
+            distinct: false,
+        },
+    ];
+    let schema = agg_schema(&kinds, &aggs);
+    let groups = [ScalarExpr::col(0), ScalarExpr::col(1)];
+    let want = hash_aggregate_ref(&input, &groups, &aggs, schema.clone()).expect("reference");
+    assert!(want.num_rows() > 1 << 16);
+    // Production hashing only: eight collision buckets would chain
+    // every row through 66 000 groups.
+    let opts = KernelOptions::default();
+    for (mode, budget) in budgets() {
+        let gov = match &budget {
+            Some(b) => KernelGov::new(b, None, 0),
+            None => KernelGov::unbounded(),
+        };
+        let (got, stats) =
+            hash_aggregate(&input, &groups, &aggs, schema.clone(), &opts, &gov).expect("kernel");
+        assert!(
+            stats.mode.starts_with("fixed-dict"),
+            "{mode}: {}",
+            stats.mode
+        );
+        assert_eq!(budget.is_some(), stats.mode.ends_with("-spill"), "{mode}");
+        assert_eq!(got, want, "budget {mode}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -558,7 +655,30 @@ proptest! {
     ) {
         let kind = KINDS[kind_ix];
         let input = build_batch(&[kind], &raw[..1], &raw[1]);
-        check_group_by(kind, &input)?;
+        check_group_by(&[kind], &input, &agg_exprs(1), None)?;
+    }
+
+    // Two or three wide string columns (NULLs and empty strings among
+    // them) fit the fixed layout only as dictionary codes; a second
+    // integer beside two of them overflows it again.
+    #[test]
+    fn wide_string_group_keys_match_reference(
+        extra in 0usize..3,
+        raw in side(3, 4, 0..90usize),
+    ) {
+        let kinds: &[KeyKind] = match extra {
+            0 => &[KeyKind::Utf8Long, KeyKind::Utf8Long],
+            1 => &[KeyKind::Utf8Long, KeyKind::Int32, KeyKind::Utf8Long],
+            _ => &[KeyKind::Utf8Long, KeyKind::Utf8Short, KeyKind::Utf8Long],
+        };
+        let input = build_batch(kinds, &raw[..kinds.len()], &raw[3]);
+        // Draw 0 is the empty string: a column of nothing else fits as
+        // it is.
+        let wide = kinds.iter().zip(&raw).any(|(k, col)| {
+            matches!(k, KeyKind::Utf8Long) && col.iter().any(|&(null, v)| !null && v != 0)
+        });
+        let mode = wide.then_some("fixed-dict");
+        check_group_by(kinds, &input, &agg_exprs(kinds.len()), mode)?;
     }
 
     #[test]

@@ -87,14 +87,18 @@ fn tracing_preserves_results_and_meters_its_own_traffic() {
 /// `tests/fetch_path_pinned.rs`'s three statements, each with the span
 /// tree a traced run renders — every label, row count and nesting
 /// level, with wall times (and the kernel phase timings inside
-/// `kernel[…]` labels) left out.
+/// `kernel[…]` labels) left out. Three kinds of label moved when the
+/// joins learned to build only what their parent reads: a join under
+/// a column-only `Project` names the columns it keeps (`out=[…]`),
+/// that `Project` addresses them by their new positions, and the
+/// two-string `GROUP BY` runs `kernel[fixed-dict]` (was `hashed`).
 const TRACED_SHAPES: [(&str, &str); 3] = [
     (
         "SELECT c.name, o.order_id, o.amount FROM customers c \
          JOIN orders o ON c.id = o.cust_id WHERE c.balance > 45000.00",
         r"Project: #0, #1, #2 rows_in=45 rows=45
-  Project: #1, #2, #4 rows_in=45 rows=45
-    BindJoin[semijoin→sales INNER JOIN] rows_in=49 rows=45
+  Project: #0, #1, #2 rows_in=45 rows=45
+    BindJoin[semijoin→sales INNER JOIN] out=[1, 2, 4] rows_in=49 rows=45
       Fragment[crm] rows_in=4 rows=4
         recv[crm] rows_in=0 rows=4
           remote:scan[customers] rows_in=0 rows=4
@@ -112,8 +116,8 @@ const TRACED_SHAPES: [(&str, &str); 3] = [
          GROUP BY c.region",
         r"Project: #0, #1, #2 rows_in=8 rows=8
   HashAggregate: group=[#0] aggs=[count(*), sum(#1)] rows_in=933 rows=8
-    Project: #1, #3 rows_in=933 rows=933
-      BindJoin[semijoin→sales INNER JOIN] rows_in=1100 rows=933
+    Project: #0, #1 rows_in=933 rows=933
+      BindJoin[semijoin→sales INNER JOIN] out=[1, 3] rows_in=1100 rows=933
         Fragment[crm] rows_in=100 rows=100
           recv[crm] rows_in=0 rows=100
             remote:scan[customers] rows_in=0 rows=100
@@ -132,8 +136,8 @@ const TRACED_SHAPES: [(&str, &str); 3] = [
          WHERE o.order_day >= DATE '2019-06-01' GROUP BY c.region, p.category",
         r"Project: #0, #1, #2 rows_in=48 rows=48
   HashAggregate: group=[#0, #2] aggs=[sum(#1)] rows_in=967 rows=48
-    Project: #1, #4, #6 rows_in=967 rows=967
-      HashJoin[INNER JOIN]: left[3] = right[0] rows_in=987 rows=967
+    Project: #0, #1, #2 rows_in=967 rows=967
+      HashJoin[INNER JOIN]: left[3] = right[0] out=[1, 4, 6] rows_in=987 rows=967
         BindJoin[semijoin→sales INNER JOIN] rows_in=1100 rows=967
           Fragment[crm] rows_in=100 rows=100
             recv[crm] rows_in=0 rows=100
@@ -149,7 +153,7 @@ const TRACED_SHAPES: [(&str, &str); 3] = [
             remote:scan[products] rows_in=0 rows=20
             wire[codec=dict*1,delta*2,nullsup*1 raw=777 sent=425] rows_in=0 rows=0
         kernel[fixed]: partitions=1 rows_in=0 rows=0
-    kernel[hashed]: partitions=1 rows_in=0 rows=0
+    kernel[fixed-dict]: partitions=1 rows_in=0 rows=0
 ",
     ),
 ];

@@ -64,14 +64,15 @@ impl FragmentExec {
                 .fetch(&self.request, &resp_schema, trace, ctx.deadline())?;
         let rows_in = raw.num_rows() as u64;
         let mapped = self.map_response(&raw)?;
-        let filtered = match &self.residual {
+        // Project before filtering: a column only the residual reads
+        // is not gathered.
+        let projected = match &self.residual {
             Some(pred) => {
                 let keep = evaluate_predicate(pred, &mapped)?;
-                mapped.filter(&keep)?
+                mapped.project(&self.output_positions)?.filter(&keep)?
             }
-            None => mapped,
+            None => mapped.project(&self.output_positions)?,
         };
-        let projected = filtered.project(&self.output_positions)?;
         let limited = match self.post_fetch {
             Some(n) if projected.num_rows() > n => projected.slice(0, n),
             _ => projected,

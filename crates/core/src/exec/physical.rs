@@ -1145,14 +1145,11 @@ fn execute_bind_join(b: &BindJoinExec, ctx: &ExecContext<'_>) -> Result<(Batch, 
         };
         inner_rows += raw.num_rows() as u64;
         let mapped = b.inner.map_response(&raw)?;
-        let filtered = match &b.inner.residual {
-            Some(pred) => {
-                let keep = evaluate_predicate(pred, &mapped)?;
-                mapped.filter(&keep)?
-            }
-            None => mapped,
-        };
-        inner_parts.push(filtered.project(&b.inner.output_positions)?);
+        let projected = mapped.project(&b.inner.output_positions)?;
+        inner_parts.push(match &b.inner.residual {
+            Some(pred) => projected.filter(&evaluate_predicate(pred, &mapped)?)?,
+            None => projected,
+        });
     }
     if recv_dropped > 0 {
         children.push(Span::leaf(format!(

@@ -8,7 +8,7 @@
 use crate::expr::like::like_match;
 use crate::expr::ScalarExpr;
 use gis_sql::ast::{BinaryOp, UnaryOp};
-use gis_types::{Array, ArrayBuilder, Batch, DataType, GisError, Result, Value};
+use gis_types::{Array, ArrayBuilder, Batch, Bitmap, DataType, GisError, Result, Value};
 use std::sync::Arc;
 
 /// Evaluates `expr` over every row of `batch`, producing a column.
@@ -172,8 +172,14 @@ pub fn evaluate_predicate(expr: &ScalarExpr, batch: &Batch) -> Result<Vec<bool>>
             arr.data_type()
         )));
     }
-    Ok((0..arr.len())
-        .map(|i| arr.value_at(i).as_bool().ok().flatten().unwrap_or(false))
+    let Array::Boolean(values, validity) = &arr else {
+        unreachable!("checked to be boolean above");
+    };
+    if validity.all_set() {
+        return Ok(values.to_vec());
+    }
+    Ok((0..values.len())
+        .map(|i| values[i] && validity.get(i))
         .collect())
 }
 
@@ -265,18 +271,45 @@ fn eval_logical(l: &Array, op: BinaryOp, r: &Array) -> Result<Array> {
     Ok(b.finish())
 }
 
+/// Same-typed buffers compared slot by slot under `cmp` — the order
+/// [`Value::total_cmp`] gives that type — with no `Value` per row. A
+/// NULL on either side yields NULL (stored as `false`).
+fn compare_typed<T>(
+    (lv, lm): (&[T], &Bitmap),
+    (rv, rm): (&[T], &Bitmap),
+    op: BinaryOp,
+    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
+) -> Array {
+    let outcome = |i: usize| cmp_outcome(cmp(&lv[i], &rv[i]), op);
+    if lm.all_set() && rm.all_set() {
+        let values: Vec<bool> = (0..lv.len()).map(outcome).collect();
+        return Array::Boolean(Arc::new(values), Arc::new(lm.clone()));
+    }
+    let valid = lm.and(rm);
+    let values: Vec<bool> = (0..lv.len()).map(|i| valid.get(i) && outcome(i)).collect();
+    Array::Boolean(Arc::new(values), Arc::new(valid))
+}
+
 fn eval_comparison(l: &Array, op: BinaryOp, r: &Array) -> Result<Array> {
-    // Typed fast path for int64/int64 — the hot case for keys.
-    if let (Array::Int64(lv, lm), Array::Int64(rv, rm)) = (l, r) {
-        let mut b = ArrayBuilder::with_capacity(DataType::Boolean, lv.len());
-        for i in 0..lv.len() {
-            if !lm.get(i) || !rm.get(i) {
-                b.push_null();
-            } else {
-                b.push_bool(cmp_outcome(lv[i].cmp(&rv[i]), op))?;
-            }
+    // Typed paths for same-typed operands — keys, dates and amounts
+    // against a broadcast literal are the residual filters joins run
+    // over every fetched row.
+    match (l, r) {
+        (Array::Int64(lv, lm), Array::Int64(rv, rm))
+        | (Array::Timestamp(lv, lm), Array::Timestamp(rv, rm)) => {
+            return Ok(compare_typed((lv, lm), (rv, rm), op, i64::cmp))
         }
-        return Ok(b.finish());
+        (Array::Int32(lv, lm), Array::Int32(rv, rm))
+        | (Array::Date(lv, lm), Array::Date(rv, rm)) => {
+            return Ok(compare_typed((lv, lm), (rv, rm), op, i32::cmp))
+        }
+        (Array::Float64(lv, lm), Array::Float64(rv, rm)) => {
+            return Ok(compare_typed((lv, lm), (rv, rm), op, f64::total_cmp))
+        }
+        (Array::Utf8(lv, lm), Array::Utf8(rv, rm)) => {
+            return Ok(compare_typed((lv, lm), (rv, rm), op, String::cmp))
+        }
+        _ => {}
     }
     let mut b = ArrayBuilder::with_capacity(DataType::Boolean, l.len());
     for i in 0..l.len() {

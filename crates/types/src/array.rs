@@ -162,12 +162,17 @@ impl Array {
 
     /// An array where every slot holds `value` (broadcast of a scalar).
     pub fn from_scalar(value: &Value, len: usize, dt: DataType) -> Result<Array> {
-        let coerced = value.cast_to(dt)?;
-        let mut b = ArrayBuilder::with_capacity(dt, len);
-        for _ in 0..len {
-            b.push_value(&coerced)?;
-        }
-        Ok(b.finish())
+        let valid = || Arc::new(Bitmap::from_element(len, true));
+        Ok(match value.cast_to(dt)? {
+            Value::Null => Array::nulls(dt, len),
+            Value::Boolean(x) => Array::Boolean(Arc::new(vec![x; len]), valid()),
+            Value::Int32(x) => Array::Int32(Arc::new(vec![x; len]), valid()),
+            Value::Int64(x) => Array::Int64(Arc::new(vec![x; len]), valid()),
+            Value::Float64(x) => Array::Float64(Arc::new(vec![x; len]), valid()),
+            Value::Utf8(x) => Array::Utf8(Arc::new(vec![x; len]), valid()),
+            Value::Date(x) => Array::Date(Arc::new(vec![x; len]), valid()),
+            Value::Timestamp(x) => Array::Timestamp(Arc::new(vec![x; len]), valid()),
+        })
     }
 
     /// Gather: new array containing `indices` slots in order. Invalid

@@ -263,9 +263,21 @@ fn assemble(
     };
     let columns = match kind {
         JoinKind::Inner | JoinKind::Cross => {
-            columns_of(&|c| c.take_by(pairs.iter().map(|p| p.0 as usize)), &|c| {
-                c.take_by(pairs.iter().map(|p| p.1 as usize))
-            })
+            // Every left row matched exactly once, in order (a foreign
+            // key into a dimension): the left columns *are* the output
+            // columns, shared instead of gathered cell by cell.
+            let left_as_is = pairs.len() == left.num_rows()
+                && pairs.iter().enumerate().all(|(i, p)| p.0 as usize == i);
+            columns_of(
+                &|c| {
+                    if left_as_is {
+                        c.clone()
+                    } else {
+                        c.take_by(pairs.iter().map(|p| p.0 as usize))
+                    }
+                },
+                &|c| c.take_by(pairs.iter().map(|p| p.1 as usize)),
+            )
         }
         JoinKind::Semi | JoinKind::Anti => {
             let want = kind == JoinKind::Semi;
@@ -513,6 +525,36 @@ mod tests {
         let schema = JoinNode::compute_schema(l.schema(), r.schema(), JoinKind::Cross);
         let out = nested_loop_join(&l, &r, JoinKind::Cross, None, None, schema).unwrap();
         assert_eq!(out.num_rows(), n * n);
+    }
+
+    #[test]
+    fn foreign_key_join_shares_the_left_columns() {
+        // Each fact row finds its one dimension row: the fact columns
+        // pass through by reference, the dimension's are gathered.
+        let mk = |name: &str, vals: &[i64]| {
+            let rows: Vec<Vec<Value>> = vals.iter().map(|&v| vec![Value::Int64(v)]).collect();
+            Batch::from_rows(
+                Schema::new(vec![Field::new(name, DataType::Int64)]).into_ref(),
+                &rows,
+            )
+            .unwrap()
+        };
+        let facts = mk("fk", &[2, 0, 1, 2, 2]);
+        let dims = mk("pk", &[0, 1, 2]);
+        let schema = JoinNode::compute_schema(facts.schema(), dims.schema(), JoinKind::Inner);
+        let out = join(&facts, &dims, JoinKind::Inner, None, schema.clone());
+        let same_buffer = |a: &Array, b: &Array| match (a, b) {
+            (Array::Int64(x, _), Array::Int64(y, _)) => Arc::ptr_eq(x, y),
+            _ => false,
+        };
+        assert!(same_buffer(out.column(0), facts.column(0)));
+        assert_eq!(out.column(1), facts.column(0));
+        // One unmatched fact row and the shortcut is off; rows still right.
+        let facts = mk("fk", &[2, 7, 1]);
+        let out = join(&facts, &dims, JoinKind::Inner, None, schema.clone());
+        assert!(!same_buffer(out.column(0), facts.column(0)));
+        let want = hash_join_ref(&facts, &dims, &[0], &[0], JoinKind::Inner, None, schema).unwrap();
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -156,18 +156,34 @@ impl KeyBloom {
         hashes
     }
 
-    fn probes(&self, h: u64) -> impl Iterator<Item = u64> + '_ {
-        let h1 = h;
+    /// The `k` bit positions of a key hash: `(h1 + i·h2) mod 2^64 mod
+    /// n_bits`. While that sum stays below 2^64 — every hash but about
+    /// one in 2^28 — the positions step by `h2 mod n_bits` from
+    /// `h1 mod n_bits`, so a key costs two divisions, not `k`; a sum
+    /// that wraps takes the division per probe. Either way the
+    /// positions are the formula's, bit for bit: filters built by an
+    /// older peer probe identically.
+    fn probes(&self, h: u64) -> impl Iterator<Item = u64> {
+        let (n_bits, k) = (self.n_bits, u64::from(self.k));
         let h2 = (h >> 32) | 1; // odd, so probes cycle the whole table
-        (0..u64::from(self.k)).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % self.n_bits)
+        let steps = h.checked_add((k - 1) * h2).is_some();
+        let (step, mut at) = (h2 % n_bits, h % n_bits);
+        (0..k).map(move |i| {
+            if !steps {
+                return h.wrapping_add(i.wrapping_mul(h2)) % n_bits;
+            }
+            let bit = at;
+            at += step;
+            if at >= n_bits {
+                at -= n_bits;
+            }
+            bit
+        })
     }
 
     /// Inserts a key hash.
     pub fn insert(&mut self, h: u64) {
-        let (n_bits, k) = (self.n_bits, self.k);
-        let h2 = (h >> 32) | 1;
-        for i in 0..u64::from(k) {
-            let bit = h.wrapping_add(i.wrapping_mul(h2)) % n_bits;
+        for bit in self.probes(h) {
             self.bits[(bit / 8) as usize] |= 1 << (bit % 8);
         }
     }
@@ -256,6 +272,29 @@ mod tests {
             .count();
         let rate = fp as f64 / n as f64;
         assert!(rate < 0.03, "false-positive rate {rate} way over target");
+    }
+
+    #[test]
+    fn probe_positions_are_the_formulas() {
+        // Stepping residues must land where a division per probe did,
+        // also when `h1 + i·h2` wraps past 2^64.
+        let mut hashes = vec![0, 1, u64::MAX, u64::MAX - 3, u64::MAX << 32, 0xFFFF_FFFF];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            hashes.push(x);
+            hashes.push(u64::MAX - (x >> 30));
+        }
+        for n in [1usize, 7, 100, 10_000, 1_000_000] {
+            let bloom = KeyBloom::sized_for(n, 0.01);
+            for &h in &hashes {
+                let h2 = (h >> 32) | 1;
+                let want: Vec<u64> = (0..u64::from(bloom.k))
+                    .map(|i| h.wrapping_add(i.wrapping_mul(h2)) % bloom.n_bits)
+                    .collect();
+                assert_eq!(bloom.probes(h).collect::<Vec<_>>(), want, "h={h:#x} n={n}");
+            }
+        }
     }
 
     #[test]

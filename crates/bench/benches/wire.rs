@@ -5,7 +5,7 @@
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gis_adapters::{wire_req, SourceRequest};
-use gis_net::codec::{decode_frame, encode_frame_into};
+use gis_net::codec::{decode_frame, encode_frame_into, encode_range_into, FrameSink};
 use gis_net::wire::{decode_batch, encode_batch};
 use gis_net::ColumnCodec;
 use gis_storage::{CmpOp, ScanPredicate};
@@ -118,6 +118,103 @@ fn bench_codecs(c: &mut Criterion) {
     group.finish();
 }
 
+/// FedMart's `orders` shape: a sequential id, a skewed foreign key, a
+/// uniform one, a clustered date, a small integer, a float amount.
+fn orders_batch(rows: usize) -> Batch {
+    let schema = Schema::new(vec![
+        Field::required("order_id", DataType::Int64),
+        Field::new("cust_id", DataType::Int64),
+        Field::new("product_id", DataType::Int64),
+        Field::new("order_day", DataType::Date),
+        Field::new("quantity", DataType::Int64),
+        Field::new("amount", DataType::Float64),
+    ])
+    .into_ref();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = |n: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        (state >> 33) % n
+    };
+    let data: Vec<Vec<Value>> = (0..rows)
+        .map(|i| {
+            let qty = 1 + draw(19) as i64;
+            vec![
+                Value::Int64(i as i64),
+                Value::Int64((draw(100) * draw(100)) as i64),
+                Value::Int64(draw(2000) as i64),
+                Value::Date(18_000 + draw(1000) as i32),
+                Value::Int64(qty),
+                Value::Float64(qty as f64 * (50 + draw(9950)) as f64 / 100.0),
+            ]
+        })
+        .collect();
+    Batch::from_rows(schema, &data).unwrap()
+}
+
+/// The exchange as `RemoteSource` runs it: a chunk encoded from its
+/// row range of the source's batch, frames appended into one set of
+/// builders — and the one-row frame `serving_hot`-style point lookups
+/// ship, which must not pay for any of it.
+fn bench_exchange(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire_exchange");
+    const CHUNK: usize = 1024;
+    let orders = orders_batch(4 * CHUNK);
+    let mut frames = Vec::new();
+    let mut raw = 0;
+    for chunk in 0..4 {
+        let mut buf = BytesMut::new();
+        raw += encode_range_into(&mut buf, &orders, chunk * CHUNK, CHUNK, true).raw;
+        frames.push(buf.freeze());
+    }
+    group.throughput(Throughput::Bytes(raw as u64 / 4));
+    group.bench_function("encode_range/orders_1024", |b| {
+        let mut scratch = BytesMut::new();
+        b.iter(|| {
+            scratch.clear();
+            black_box(encode_range_into(&mut scratch, &orders, 2 * CHUNK, CHUNK, true).wire)
+        })
+    });
+    group.throughput(Throughput::Bytes(raw as u64));
+    group.bench_function("decode_append/orders_1024", |b| {
+        b.iter(|| {
+            let mut sink = FrameSink::new(orders.schema().clone());
+            for frame in &frames {
+                sink.append(frame).unwrap();
+            }
+            black_box(sink.finish().unwrap().num_rows())
+        })
+    });
+    let tiny = Batch::from_rows(
+        Schema::new(vec![
+            Field::required("id", DataType::Int64),
+            Field::new("name", DataType::Utf8),
+            Field::new("region", DataType::Utf8),
+            Field::new("balance", DataType::Float64),
+            Field::new("since", DataType::Date),
+        ])
+        .into_ref(),
+        &[vec![
+            Value::Int64(4711),
+            Value::Utf8("cust-4711".into()),
+            Value::Utf8("north".into()),
+            Value::Float64(1234.5),
+            Value::Date(17_000),
+        ]],
+    )
+    .unwrap();
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("encode/tiny_1row", |b| {
+        let mut scratch = BytesMut::new();
+        b.iter(|| {
+            scratch.clear();
+            black_box(encode_frame_into(&mut scratch, &tiny).wire)
+        })
+    });
+    group.finish();
+}
+
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     for rows in [128usize, 4096] {
@@ -163,5 +260,5 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wire, bench_codecs);
+criterion_group!(benches, bench_wire, bench_codecs, bench_exchange);
 criterion_main!(benches);

@@ -153,6 +153,52 @@ pub fn json_str(s: &str) -> String {
     format!("\"{s}\"")
 }
 
+/// The flat objects of the array member `key` of a JSON document, each
+/// as its text between the braces — the reading counterpart of
+/// [`json_members`], enough for the arrays of scalar-valued records
+/// the report files hold (no nested objects; brackets and braces
+/// inside strings are skipped).
+pub fn json_array_objects<'a>(text: &'a str, key: &str) -> Vec<&'a str> {
+    let Some(at) = text.find(&format!("\"{key}\"")) else {
+        return Vec::new();
+    };
+    let mut objects = Vec::new();
+    let (mut in_string, mut escaped, mut open) = (false, false, None);
+    let mut started = false;
+    for (i, c) in text[at + key.len() + 2..].char_indices() {
+        let i = at + key.len() + 2 + i;
+        if in_string {
+            in_string = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '[' => started = true,
+            '{' if started => open = Some(i + 1),
+            '}' => objects.extend(open.take().map(|from| &text[from..i])),
+            ']' if started => break,
+            _ => {}
+        }
+    }
+    objects
+}
+
+/// The value of scalar member `key` of a flat JSON object (as
+/// [`json_array_objects`] yields them): a string without its quotes, a
+/// number or literal as written.
+pub fn json_field<'a>(object: &'a str, key: &str) -> Option<&'a str> {
+    let at = object.find(&format!("\"{key}\""))?;
+    let rest = object[at + key.len() + 2..]
+        .trim_start()
+        .strip_prefix(':')?;
+    let rest = rest.trim_start();
+    match rest.strip_prefix('"') {
+        Some(string) => string.split('"').next(),
+        None => rest.split(',').next().map(str::trim),
+    }
+}
+
 /// Formats a byte count with a thousands separator.
 pub fn fmt_bytes(b: u64) -> String {
     let s = b.to_string();
@@ -177,6 +223,33 @@ pub fn fmt_ratio(num: f64, den: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flat_record_arrays_read_back() {
+        let doc = format!(
+            "{{\n  \"seed\": 1,\n  \"guards\": [\n    {{ {} }},\n    {{\n      {}\n    }}\n  ],\n  \"x\": []\n}}",
+            json_members(&[
+                ("name", json_str("mix.max_class_time_share")),
+                ("value", "0.31".into()),
+                ("rule", json_str("in [0, 0.35]")),
+                ("ok", "true".into()),
+            ]),
+            json_members(&[("name", json_str("samples")), ("value", "180".into())]),
+        );
+        let guards = json_array_objects(&doc, "guards");
+        assert_eq!(guards.len(), 2);
+        assert_eq!(
+            json_field(guards[0], "name"),
+            Some("mix.max_class_time_share")
+        );
+        assert_eq!(json_field(guards[0], "value"), Some("0.31"));
+        assert_eq!(json_field(guards[0], "rule"), Some("in [0, 0.35]"));
+        assert_eq!(json_field(guards[0], "ok"), Some("true"));
+        assert_eq!(json_field(guards[1], "value"), Some("180"));
+        assert_eq!(json_field(guards[1], "rule"), None);
+        assert!(json_array_objects(&doc, "x").is_empty());
+        assert!(json_array_objects(&doc, "absent").is_empty());
+    }
 
     #[test]
     fn report_renders_aligned() {

@@ -67,6 +67,29 @@ fn compression_cuts_bytes_and_keeps_results_bit_identical() {
     assert_eq!(ws.raw_bytes(), ws.wire_bytes());
 }
 
+/// `gis_wire_frames_total` counts frames: one per response message,
+/// not one per exchange (a 10-frame response used to count as 1).
+#[test]
+fn the_frame_counter_counts_response_messages() {
+    // sf=1: 10 000 orders ship as ten 1 024-row frames.
+    let fed = build_fedmart(FedMartConfig::default())
+        .expect("fedmart")
+        .federation;
+    let mut frames = 0;
+    for sql in [
+        "SELECT order_id, amount FROM orders",
+        "SELECT * FROM customers",
+        "SELECT region FROM regions",
+    ] {
+        let r = fed.query(sql).unwrap();
+        // One fragment = one request message; the rest are frames.
+        assert_eq!(r.metrics.fragments, 1, "{sql}");
+        frames += r.metrics.messages - 1;
+        assert_eq!(fed.wire_stats().frames(), frames, "{sql}");
+    }
+    assert!(frames >= 12, "several frames per exchange: {frames}");
+}
+
 #[test]
 fn compression_also_prices_the_virtual_network_cheaper() {
     let comp = fedmart().federation;

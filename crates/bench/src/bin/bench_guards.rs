@@ -113,7 +113,7 @@ fn main() -> ExitCode {
             ]);
         }
     }
-    report.note(&format!(
+    report.note(format!(
         "{guards} guards in {} result files under {dir}; {thin} violated or within {:.0}% of a limit",
         files.len(),
         100.0 * MIN_HEADROOM

@@ -241,18 +241,16 @@ fn assemble(
             "join output column {o} out of range ({natural} columns)"
         )));
     }
-    // One gather per output column, from whichever side owns it.
-    let columns_of = |lidx: &dyn Fn(&Array) -> Array, ridx: &dyn Fn(&Array) -> Array| {
+    // One gather per output column: `pick(true, c)` builds left
+    // column `c`'s share of the output, `pick(false, c)` a right one's.
+    let columns_of = |pick: &dyn Fn(bool, &Array) -> Array| -> Vec<Array> {
         output
             .iter()
-            .map(|&o| {
-                if o < left_width {
-                    lidx(left.column(o))
-                } else {
-                    ridx(right.column(o - left_width))
-                }
+            .map(|&o| match o.checked_sub(left_width) {
+                None => pick(true, left.column(o)),
+                Some(r) => pick(false, right.column(r)),
             })
-            .collect::<Vec<Array>>()
+            .collect()
     };
     let matched = |side: fn(&(u32, u32)) -> u32, rows: usize| {
         let mut hit = vec![false; rows];
@@ -268,22 +266,17 @@ fn assemble(
             // columns, shared instead of gathered cell by cell.
             let left_as_is = pairs.len() == left.num_rows()
                 && pairs.iter().enumerate().all(|(i, p)| p.0 as usize == i);
-            columns_of(
-                &|c| {
-                    if left_as_is {
-                        c.clone()
-                    } else {
-                        c.take_by(pairs.iter().map(|p| p.0 as usize))
-                    }
-                },
-                &|c| c.take_by(pairs.iter().map(|p| p.1 as usize)),
-            )
+            columns_of(&|is_left, c| match (is_left, left_as_is) {
+                (true, true) => c.clone(),
+                (true, false) => c.take_by(pairs.iter().map(|p| p.0 as usize)),
+                (false, _) => c.take_by(pairs.iter().map(|p| p.1 as usize)),
+            })
         }
         JoinKind::Semi | JoinKind::Anti => {
             let want = kind == JoinKind::Semi;
             let hit = matched(|p| p.0, left.num_rows());
             let keep: Vec<usize> = (0..left.num_rows()).filter(|&l| hit[l] == want).collect();
-            columns_of(&|c| c.take(&keep), &|c| c.take(&keep))
+            columns_of(&|_, c| c.take(&keep))
         }
         JoinKind::Left | JoinKind::Right | JoinKind::Full => {
             // Matched pairs, then unmatched left rows padded with a
@@ -305,8 +298,8 @@ fn assemble(
                     ridx.push(Some(r));
                 }
             }
-            columns_of(&|c| c.take_opt(lidx.iter().copied()), &|c| {
-                c.take_opt(ridx.iter().copied())
+            columns_of(&|is_left, c| {
+                c.take_opt(if is_left { &lidx } else { &ridx }.iter().copied())
             })
         }
     };

@@ -693,10 +693,9 @@ fn read_partition(file: &SpillFile) -> Result<(Vec<u32>, KeyTags)> {
             }
             Ok(())
         })?;
-        // A partition is grouped under the mode its caller named; the
-        // flag only labels, so it is not carried through the file.
-        let coded = false;
-        Ok((rows, KeyTags::Fixed { keys, coded }))
+        // `coded` only labels the kernel's mode, which the caller
+        // reports from the tags it spilled, not from these.
+        Ok((rows, KeyTags::Fixed { keys, coded: false }))
     } else {
         let mut hashes = Vec::with_capacity(n);
         file.for_each(|r| {

@@ -10,9 +10,8 @@
 //! no planner-produced schema reaches (and such a frame would still
 //! have to match the version byte and then decode cleanly).
 //!
-//! Each column independently selects the cheapest of five layouts
-//! from one exact stats pass over its values (shipped chunks are
-//! small, so "sampling" the column is simply reading it):
+//! Each column independently selects the cheapest of five layouts by
+//! exact size, ties going to the lower codec tag:
 //!
 //! * **raw** (0): the legacy array layout, byte-identical fallback —
 //!   wins for high-entropy integers where varints cost more than
@@ -27,6 +26,28 @@
 //!
 //! Floats compare *bitwise* throughout (runs, dictionaries), so
 //! `-0.0` vs `0.0` and NaN payloads survive the codec unchanged.
+//!
+//! **The planner quits when it has lost.** Sizes that need no look at
+//! value identity come first: raw and nullsup by formula (one length
+//! pass for strings), delta from one min/max/zig-zag pass over an
+//! integer column. The best of those is a *limit*. One more pass then
+//! tracks the two layouts that depend on which values repeat — run
+//! boundaries for RLE, a 256-entry open-addressing dictionary keyed by
+//! first-occurrence row — and drops each the moment its running size
+//! strictly exceeds the limit; when both are gone the pass stops. A
+//! running size only grows, so a dropped layout's final size would
+//! have exceeded the limit and lost the `(size, tag)` comparison; a
+//! layout that could still tie is carried to the end and compared
+//! exactly. The choice is therefore the one a full pass over every
+//! layout makes, byte for byte (`tests/wire_frames_pinned.rs`). No
+//! `Value`, run list or hash map is built on the way: a winning
+//! dictionary or run layout is written by reading the column again.
+//!
+//! Frames are encoded from a *row range* of a batch
+//! ([`encode_range_into`]) and decoded by *appending* to one set of
+//! column builders per response ([`FrameSink`]); [`encode_frame`] and
+//! [`decode_frame`] are the one-frame, one-batch entry points over the
+//! same code.
 //!
 //! Decoders follow the same hostile-frame discipline as
 //! `wire::get_count`: every count, width and run length is bounded by
@@ -273,7 +294,7 @@ fn width_mask(width: u8) -> u64 {
 
 /// Appends `n` values of `width` bits each, LSB-first: the run is sized
 /// once and filled a 64-bit word at a time.
-fn pack_bits(buf: &mut BytesMut, n: usize, width: u8, value: impl Fn(usize) -> u64) {
+fn pack_words(buf: &mut BytesMut, n: usize, width: u8, value: impl Fn(usize) -> u64) {
     if width == 0 {
         return;
     }
@@ -299,7 +320,7 @@ fn pack_bits(buf: &mut BytesMut, n: usize, width: u8, value: impl Fn(usize) -> u
 
 /// Calls `each(i, value)` for the `n` `width`-bit values of a packed
 /// run whose length was checked against `packed_len(n, width)`.
-fn unpack_bits(
+fn unpack_words(
     packed: &[u8],
     n: usize,
     width: u8,
@@ -316,8 +337,11 @@ fn unpack_bits(
             // The length check guarantees a next chunk; its last one
             // may be short and reads as zero-padded.
             let chunk = words.next().unwrap_or_default();
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            let word = <[u8; 8]>::try_from(chunk).unwrap_or_else(|_| {
+                let mut padded = [0u8; 8];
+                padded[..chunk.len()].copy_from_slice(chunk);
+                padded
+            });
             acc |= u128::from(u64::from_le_bytes(word)) << nbits;
             nbits += 64;
         }
@@ -393,21 +417,7 @@ impl Slot for &str {
         put_str(buf, self);
     }
     fn hash(self) -> u64 {
-        // Eight bytes a step; the tail is folded in bytewise (it is
-        // at most seven bytes, and a fixed small loop beats a
-        // variable-length copy).
-        let bytes = self.as_bytes();
-        let mut h = bytes.len() as u64;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let w = u64::from_le_bytes(w.try_into().expect("eight-byte chunk"));
-            h = (h.rotate_left(5) ^ w).wrapping_mul(HASH_MUL);
-        }
-        let tail = words
-            .remainder()
-            .iter()
-            .fold(0u64, |t, &b| t << 8 | u64::from(b));
-        (h.rotate_left(5) ^ tail).wrapping_mul(HASH_MUL)
+        gis_types::keys::fold_bytes(0, self.as_bytes())
     }
 }
 
@@ -757,7 +767,7 @@ fn encode_dict<C: SlotSource>(buf: &mut BytesMut, v: C, n: usize, tag: u8, dict:
     }
     let width = bits_for(dict.len as u64 - 1);
     buf.put_u8(width);
-    pack_bits(buf, n, width, |i| u64::from(dict.codes[i]));
+    pack_words(buf, n, width, |i| u64::from(dict.codes[i]));
 }
 
 fn encode_rle<C: SlotSource>(
@@ -803,7 +813,7 @@ fn encode_delta<C: SlotSource<S = i64>>(
     put_ivarint(buf, plan.base);
     buf.put_u8(plan.width);
     if plan.mode == 0 {
-        pack_bits(buf, col.len(), plan.width, |i| {
+        pack_words(buf, col.len(), plan.width, |i| {
             if col.is_valid(i) {
                 v.at(i).wrapping_sub(plan.base) as u64
             } else {
@@ -812,7 +822,7 @@ fn encode_delta<C: SlotSource<S = i64>>(
         });
     } else {
         let prev = std::cell::Cell::new(plan.base);
-        pack_bits(buf, col.len(), plan.width, |i| {
+        pack_words(buf, col.len(), plan.width, |i| {
             if col.is_valid(i) {
                 let x = v.at(i);
                 zigzag(x.wrapping_sub(prev.replace(x)))
@@ -987,7 +997,7 @@ fn decode_dict<T: Payload>(
     }
     let packed = take_bytes(buf, packed_len(rows, width))?;
     out.reserve(rows);
-    unpack_bits(packed, rows, width, |i, code| {
+    unpack_words(packed, rows, width, |i, code| {
         out.push(if bit(bitmap, i) {
             entries.get(code as usize).cloned().ok_or_else(|| {
                 GisError::Network(format!("dictionary code {code} out of range ({d})"))
@@ -1057,7 +1067,7 @@ fn decode_delta<T: Default>(
     let packed = take_bytes(buf, packed_len(rows, width))?;
     out.reserve(rows);
     let mut prev = base;
-    unpack_bits(packed, rows, width, |i, u| {
+    unpack_words(packed, rows, width, |i, u| {
         out.push(if !bit(bitmap, i) {
             T::default()
         } else if mode == 0 {

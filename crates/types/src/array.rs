@@ -197,16 +197,7 @@ impl Array {
     where
         I: Iterator<Item = Option<usize>> + Clone,
     {
-        rebuild!(self, (v, m) => (
-            indices
-                .clone()
-                .map(|i| match i {
-                    Some(i) if m.get(i) => v[i].clone(),
-                    _ => Default::default(),
-                })
-                .collect(),
-            indices.map(|i| i.is_some_and(|i| m.get(i))).collect(),
-        ))
+        rebuild!(self, (v, m) => gather_opt(v, m, indices))
     }
 
     /// Filter: keep the slots where `keep` is true.
@@ -345,6 +336,22 @@ where
         .map(|i| if m.get(i) { v[i].clone() } else { T::default() })
         .collect();
     (vals, indices.map(|i| m.get(i)).collect())
+}
+
+/// [`gather`] with holes: `None` is a NULL slot.
+fn gather_opt<T, I>(v: &[T], m: &Bitmap, indices: I) -> (Vec<T>, Bitmap)
+where
+    T: Clone + Default,
+    I: Iterator<Item = Option<usize>> + Clone,
+{
+    let vals = indices
+        .clone()
+        .map(|i| match i {
+            Some(i) if m.get(i) => v[i].clone(),
+            _ => T::default(),
+        })
+        .collect();
+    (vals, indices.map(|i| i.is_some_and(|i| m.get(i))).collect())
 }
 
 /// Positions of the `true` entries of a keep-mask.

@@ -183,7 +183,7 @@ impl Bitmap {
             .resize(self.len.div_ceil(8), if value { 0xFF } else { 0 });
         if value {
             // The byte the old tail shared gains its upper bits.
-            if old % 8 != 0 {
+            if !old.is_multiple_of(8) {
                 self.bits[old / 8] |= 0xFFu8 << (old % 8);
             }
             self.mask_tail();
@@ -345,7 +345,7 @@ mod tests {
                     let mut run = Bitmap::from_bools(&pattern[..head]);
                     run.extend_constant(len, value);
                     let mut want = pattern[..head].to_vec();
-                    want.extend(std::iter::repeat(value).take(len));
+                    want.extend(std::iter::repeat_n(value, len));
                     assert_eq!(run, Bitmap::from_bools(&want), "{head}+{len}x{value}");
                 }
             }

@@ -338,20 +338,52 @@ fn dictionary_codes(values: &[String], validity: &Bitmap) -> Vec<i32> {
         .collect()
 }
 
-/// A multiply-rotate hasher that eats eight bytes per step: enough
-/// for a per-call dictionary of key strings, where SipHash would cost
-/// more than the rest of the grouping.
+/// Folds `bytes` into `state` eight bytes a step (multiply-rotate),
+/// ending with the length: the string hash of the per-call key
+/// dictionary here and of the wire codec's column dictionary, where
+/// SipHash — or FNV's byte-at-a-time loop — would cost more than the
+/// rest of the pass. Tails are read as overlapping fixed-width loads:
+/// copying a variable number of bytes into a word costs more than the
+/// hash itself on the short strings keys are. Callers take the top
+/// bits of a multiply, or [`std::hash::Hasher::finish`]'s scramble.
+#[inline]
+pub fn fold_bytes(state: u64, bytes: &[u8]) -> u64 {
+    let eat = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let n = bytes.len();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"));
+    let half = |at: usize| {
+        u64::from(u32::from_le_bytes(
+            bytes[at..at + 4].try_into().expect("four bytes"),
+        ))
+    };
+    let mut h = state;
+    if n >= 8 {
+        let mut at = 0;
+        while at + 8 <= n {
+            h = eat(h, word(at));
+            at += 8;
+        }
+        if at < n {
+            h = eat(h, word(n - 8));
+        }
+    } else if n >= 4 {
+        h = eat(h, half(0) | half(n - 4) << 32);
+    } else if n > 0 {
+        let (first, mid, last) = (bytes[0], bytes[n / 2], bytes[n - 1]);
+        h = eat(
+            h,
+            u64::from(first) | u64::from(mid) << 8 | u64::from(last) << 16,
+        );
+    }
+    eat(h, n as u64)
+}
+
+/// [`fold_bytes`] as a [`std::hash::Hasher`], for the key dictionary's
+/// `HashMap`.
 #[derive(Debug, Clone, Copy, Default)]
 struct WordHasher(u64);
 
 type BuildWordHasher = std::hash::BuildHasherDefault<WordHasher>;
-
-impl WordHasher {
-    #[inline]
-    fn eat(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
 
 impl std::hash::Hasher for WordHasher {
     #[inline]
@@ -361,38 +393,7 @@ impl std::hash::Hasher for WordHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        // Tails are read as overlapping fixed-width loads: copying a
-        // variable number of bytes into a word costs more than the
-        // hash itself on the short strings keys are.
-        let n = bytes.len();
-        let word =
-            |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"));
-        let half = |at: usize| {
-            u64::from(u32::from_le_bytes(
-                bytes[at..at + 4].try_into().expect("four bytes"),
-            ))
-        };
-        if n >= 8 {
-            let mut at = 0;
-            while at + 8 <= n {
-                self.eat(word(at));
-                at += 8;
-            }
-            if at < n {
-                self.eat(word(n - 8));
-            }
-        } else if n >= 4 {
-            self.eat(half(0) | half(n - 4) << 32);
-        } else if n > 0 {
-            let (first, mid, last) = (bytes[0], bytes[n / 2], bytes[n - 1]);
-            self.eat(u64::from(first) | u64::from(mid) << 8 | u64::from(last) << 16);
-        }
-        self.eat(n as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.eat(u64::from(v));
+        self.0 = fold_bytes(self.0, bytes);
     }
 }
 

@@ -42,9 +42,6 @@ pub struct ExecOptions {
     /// Push ORDER BY into capable sources when the sort sits directly
     /// over a scan.
     pub sort_pushdown: bool,
-    /// Rows per response message (overrides the remote default when
-    /// set).
-    pub chunk_rows: usize,
     /// Push inner equi-joins of two tables on the *same* source down
     /// as one join fragment (the source joins; only results ship).
     pub colocated_join: bool,
@@ -88,7 +85,6 @@ impl Default for ExecOptions {
             bind_batch_size: 1024,
             aggregate_pushdown: true,
             sort_pushdown: true,
-            chunk_rows: 1024,
             colocated_join: true,
             parallel_fetch: false,
             tracing: false,

@@ -176,9 +176,7 @@ impl Federation {
         register_adapter(&self.catalog, &adapter)?;
         let name = adapter.name().to_ascii_lowercase();
         let link = Link::new(adapter.name(), conditions, self.clock.clone());
-        let chunk = self.exec_options.read().chunk_rows;
         let remote = RemoteSource::new(adapter, link)
-            .with_chunk_rows(chunk)
             .with_compression_flag(self.wire_compression.clone())
             .with_wire_stats(self.wire_stats.clone());
         self.sources.write().insert(name, SourceGroup::new(remote));
@@ -205,9 +203,7 @@ impl Federation {
             conditions,
             self.clock.clone(),
         );
-        let chunk = self.exec_options.read().chunk_rows;
         let replica = RemoteSource::new(group.adapter().clone(), link.clone())
-            .with_chunk_rows(chunk)
             .with_retry_policy(group.primary().retry_policy())
             .with_compression_flag(self.wire_compression.clone())
             .with_wire_stats(self.wire_stats.clone());

@@ -46,10 +46,21 @@ const PINNED: [(&str, &str, u64, u64); 3] = [
     ),
 ];
 
-fn oracle_twin() -> Federation {
-    let fed = build_fedmart(FedMartConfig::tiny())
-        .expect("fedmart")
-        .federation;
+/// `(class, bytes_wire, messages, virtual_network_us)` of `PINNED`'s
+/// statements on FedMart sf = 1 over its default WAN (40 ms, 1 MB/s),
+/// where a response frame is sized to the link: eight bandwidth-delay
+/// products, ~320 KB raw. With 1 024-row frames on every link the
+/// same statements read, in the same order: 7 818 B / 4 / 167 818 µs
+/// (its responses are under 1 024 rows), 111 489 B / 13 / 631 489 µs
+/// and 126 180 B / 15 / 726 180 µs.
+const PINNED_WAN: [(&str, u64, u64, u64); 3] = [
+    ("semijoin_selective", 7_818, 4, 167_818),
+    ("join2_agg", 111_012, 4, 271_012),
+    ("join3_rollup", 125_532, 6, 365_532),
+];
+
+fn oracle_twin(config: FedMartConfig) -> Federation {
+    let fed = build_fedmart(config).expect("fedmart").federation;
     let (optimizer, exec) = gis_qa::config::oracle();
     fed.set_optimizer_options(optimizer);
     fed.set_exec_options(exec);
@@ -82,7 +93,7 @@ fn benchmark_join_shapes_keep_their_rows_and_their_wire_bytes() {
     let fed = build_fedmart(FedMartConfig::tiny())
         .expect("fedmart")
         .federation;
-    let oracle = oracle_twin();
+    let oracle = oracle_twin(FedMartConfig::tiny());
     for (class, sql, bytes_wire, messages) in PINNED {
         let got = fed.query(sql).unwrap_or_else(|e| panic!("{class}: {e}"));
         let want = oracle.query(sql).unwrap_or_else(|e| panic!("{class}: {e}"));
@@ -95,6 +106,34 @@ fn benchmark_join_shapes_keep_their_rows_and_their_wire_bytes() {
             (got.metrics.bytes_wire, got.metrics.messages),
             (bytes_wire, messages),
             "{class}: wire traffic moved (same rows in another order?)"
+        );
+    }
+}
+
+/// The same shapes at sf = 1 over the WAN: the oracle's rows, and the
+/// bytes, messages and virtual time of link-sized frames.
+#[test]
+fn benchmark_join_shapes_over_the_wan_ship_link_sized_frames() {
+    let fed = build_fedmart(FedMartConfig::default())
+        .expect("fedmart")
+        .federation;
+    let oracle = oracle_twin(FedMartConfig::default());
+    for ((class, sql, ..), (wan_class, bytes_wire, messages, virtual_us)) in
+        PINNED.into_iter().zip(PINNED_WAN)
+    {
+        assert_eq!(class, wan_class);
+        let got = fed.query(sql).unwrap_or_else(|e| panic!("{class}: {e}"));
+        let want = oracle.query(sql).unwrap_or_else(|e| panic!("{class}: {e}"));
+        assert!(want.batch.num_rows() > 0, "{class}: vacuous statement");
+        assert!(
+            rows_match(&sorted_rows(&got.batch), &sorted_rows(&want.batch)),
+            "{class}: rows differ from the oracle's"
+        );
+        let m = &got.metrics;
+        assert_eq!(
+            (m.bytes_wire, m.messages, m.virtual_network_us),
+            (bytes_wire, messages, virtual_us),
+            "{class}: wire traffic moved"
         );
     }
 }

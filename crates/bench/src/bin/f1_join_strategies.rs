@@ -11,7 +11,8 @@ use gis_bench::{fmt_bytes, Report};
 use gis_core::{ExecOptions, JoinStrategy};
 use gis_datagen::{build_fedmart, FedMartConfig};
 
-fn run(fed: &gis_core::Federation, sql: &str, strategy: JoinStrategy) -> (u64, u64, f64) {
+/// Bytes, summed link time and critical path (both virtual ms).
+fn run(fed: &gis_core::Federation, sql: &str, strategy: JoinStrategy) -> (u64, f64, f64) {
     fed.set_exec_options(ExecOptions {
         join_strategy: strategy,
         bind_batch_size: 256,
@@ -20,8 +21,8 @@ fn run(fed: &gis_core::Federation, sql: &str, strategy: JoinStrategy) -> (u64, u
     let r = fed.query(sql).expect("query");
     (
         r.metrics.bytes_shipped,
-        r.metrics.messages,
         r.metrics.virtual_network_ms(),
+        r.metrics.virtual_elapsed_ms(),
     )
 }
 
@@ -35,6 +36,7 @@ fn main() {
             "sel",
             "ship_bytes",
             "ship_ms",
+            "ship_path_ms",
             "semi_bytes",
             "semi_ms",
             "bind_bytes",
@@ -48,9 +50,9 @@ fn main() {
             "SELECT c.name, o.amount FROM customers c \
              JOIN orders o ON c.id = o.cust_id WHERE c.id < {k}"
         );
-        let (ship_b, _sm, ship_ms) = run(fed, &sql, JoinStrategy::ShipWhole);
-        let (semi_b, _mm, semi_ms) = run(fed, &sql, JoinStrategy::SemiJoin);
-        let (bind_b, _bm, bind_ms) = run(fed, &sql, JoinStrategy::BindJoin);
+        let (ship_b, ship_ms, ship_path) = run(fed, &sql, JoinStrategy::ShipWhole);
+        let (semi_b, semi_ms, _) = run(fed, &sql, JoinStrategy::SemiJoin);
+        let (bind_b, bind_ms, _) = run(fed, &sql, JoinStrategy::BindJoin);
         // What does Auto pick?
         fed.set_exec_options(ExecOptions::default());
         let plan = fed.explain(&sql).expect("explain");
@@ -65,6 +67,7 @@ fn main() {
             &format!("{selectivity:.4}"),
             &fmt_bytes(ship_b),
             &format!("{ship_ms:.0}"),
+            &format!("{ship_path:.0}"),
             &fmt_bytes(semi_b),
             &format!("{semi_ms:.0}"),
             &fmt_bytes(bind_b),
@@ -73,6 +76,7 @@ fn main() {
         ]);
     }
     report.note("bind_batch_size=256; WAN 40 ms / 1 MB/s; FedMart sf=1, Zipf-skewed orders.");
+    report.note("ship_path_ms: ship-whole's critical path — both sides fetch together, so it waits for the longer one. Key shipping waits for its outer keys first: its path is its summed time.");
     report.note("Expected shape: semi/bind ∝ selectivity, ship flat; crossover where key+match bytes ≈ table bytes.");
     report.print();
 }

@@ -45,11 +45,6 @@ pub struct ExecOptions {
     /// Push inner equi-joins of two tables on the *same* source down
     /// as one join fragment (the source joins; only results ship).
     pub colocated_join: bool,
-    /// Fetch independent subplans (union branches, join sides) on
-    /// separate threads. Does not change results; wall time and the
-    /// *parallel* virtual-time metric improve, while the sequential
-    /// virtual clock still accumulates total work.
-    pub parallel_fetch: bool,
     /// Collect a per-operator span tree (rows, bytes, wall time)
     /// during execution. Remote sources report their own spans back
     /// over the wire — the extra frame is metered like any other
@@ -86,7 +81,6 @@ impl Default for ExecOptions {
             aggregate_pushdown: true,
             sort_pushdown: true,
             colocated_join: true,
-            parallel_fetch: false,
             tracing: false,
             partial_results: false,
             view_matching: true,

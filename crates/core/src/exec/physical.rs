@@ -12,13 +12,13 @@ use crate::metrics::{DegradedReport, DegradedSource};
 use crate::plan::logical::AggregateExpr;
 use gis_adapters::{is_availability_error, SourceGroup, SourceRequest};
 use gis_catalog::TableMapping;
-use gis_net::KeyBloom;
+use gis_net::{KeyBloom, SimClock};
 use gis_observe::Span;
 use gis_sql::ast::JoinKind;
 use gis_types::mem::MemBudget;
 use gis_types::{Array, Batch, GisError, Result, Schema, SchemaRef, Value};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -30,6 +30,12 @@ pub struct ExecContext<'a> {
     sources: &'a HashMap<String, SourceGroup>,
     query: QueryCtx<'a>,
     degraded: Mutex<Vec<DegradedSource>>,
+    /// Link waits occupy host time (the clock is paced), so fetches
+    /// that run together go on two threads and their waits overlap.
+    /// Otherwise a thread would overlap nothing but CPU work: the pair
+    /// runs in order on one thread, its virtual time still the longer
+    /// side's.
+    threaded: bool,
 }
 
 impl<'a> ExecContext<'a> {
@@ -39,6 +45,9 @@ impl<'a> ExecContext<'a> {
             sources,
             query: *query,
             degraded: Mutex::new(Vec::new()),
+            threaded: sources
+                .values()
+                .any(|g| g.link().clock().pace_permille() > 0),
         }
     }
 
@@ -598,21 +607,12 @@ impl PhysicalPlan {
                 batch.slice(start, len)
             }
             PhysicalPlan::Union { inputs, schema } => {
-                let raw: Vec<Batch> = if ctx.options().parallel_fetch && inputs.len() > 1 {
-                    let parts = execute_all_parallel(inputs, ctx)?;
-                    let mut raw = Vec::with_capacity(parts.len());
-                    for (b, s) in parts {
-                        rows_in += b.num_rows() as u64;
-                        children.extend(s);
-                        raw.push(b);
-                    }
-                    raw
-                } else {
-                    inputs
-                        .iter()
-                        .map(|i| run_child(i, ctx, &mut children, &mut rows_in))
-                        .collect::<Result<_>>()?
-                };
+                let mut raw = Vec::with_capacity(inputs.len());
+                for (b, s) in execute_branches(inputs, ctx)? {
+                    rows_in += b.num_rows() as u64;
+                    children.extend(s);
+                    raw.push(b);
+                }
                 // Re-install the union schema (names may differ).
                 let parts: Vec<Batch> = raw
                     .into_iter()
@@ -840,40 +840,118 @@ fn fetch_thread_panicked<E>(_payload: E) -> GisError {
     GisError::Internal("fetch thread panicked".into())
 }
 
-/// Executes two subplans, concurrently when `parallel_fetch` is on.
+/// The concurrency rule: two independent subplans (the sides of a
+/// mediator join, or union branches) run together only if each
+/// fetches from some source and no source is fetched by both. Fetches
+/// on one link thus keep their order — the link charges a message's
+/// bytes at its full bandwidth, and its fault script stays
+/// deterministic — and the threads one query holds at once number
+/// fewer than the sources it reads, whatever the shape or size of its
+/// plan. A plan with a single fetch never spawns.
+fn run_together(left: &[PhysicalPlan], right: &[PhysicalPlan]) -> bool {
+    let (l, r) = (fetched_sources(left), fetched_sources(right));
+    !l.is_empty() && !r.is_empty() && l.is_disjoint(&r)
+}
+
+/// The sources `plans` fetch from.
+fn fetched_sources(plans: &[PhysicalPlan]) -> BTreeSet<&str> {
+    fn walk<'p>(plan: &'p PhysicalPlan, out: &mut BTreeSet<&'p str>) {
+        match plan {
+            PhysicalPlan::Fragment(f) => {
+                out.insert(&f.source);
+            }
+            PhysicalPlan::RemoteAggregate(r) => {
+                out.insert(&r.source);
+            }
+            PhysicalPlan::RemoteJoin(r) => {
+                out.insert(&r.source);
+            }
+            PhysicalPlan::BindJoin(b) => {
+                out.insert(&b.inner.source);
+            }
+            _ => {}
+        }
+        for child in plan.children() {
+            walk(child, out);
+        }
+    }
+    let mut out = BTreeSet::new();
+    for plan in plans {
+        walk(plan, &mut out);
+    }
+    out
+}
+
+/// Executes the two sides of a join, together when [`run_together`]
+/// allows.
 fn execute_pair(
     left: &PhysicalPlan,
     right: &PhysicalPlan,
     ctx: &ExecContext<'_>,
 ) -> Result<(TracedBatch, TracedBatch)> {
-    if !ctx.options().parallel_fetch {
-        return Ok((left.execute(ctx)?, right.execute(ctx)?));
-    }
-    std::thread::scope(|s| {
-        let lh = s.spawn(|| left.execute(ctx));
-        let r = right.execute(ctx);
-        let l = lh.join().map_err(fetch_thread_panicked)?;
-        Ok((l?, r?))
-    })
+    let together = run_together(std::slice::from_ref(left), std::slice::from_ref(right));
+    run_pair(together, ctx, || left.execute(ctx), || right.execute(ctx))
 }
 
-/// Executes many subplans on one thread each.
-fn execute_all_parallel(plans: &[PhysicalPlan], ctx: &ExecContext<'_>) -> Result<Vec<TracedBatch>> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|p| s.spawn(move || p.execute(ctx)))
-            .collect();
-        // Join every handle before reading any outcome: the scope
-        // re-raises the panic of a thread it had to join itself, so
-        // stopping at the first failure would turn a second panicked
-        // branch into a mediator panic.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .map(|j| j.map_err(fetch_thread_panicked)?)
-            .collect()
-    })
+/// Executes union branches as the binder nests them, left-deep: the
+/// last branch runs beside all the ones before it when
+/// [`run_together`] allows.
+fn execute_branches(plans: &[PhysicalPlan], ctx: &ExecContext<'_>) -> Result<Vec<TracedBatch>> {
+    let Some((last, head)) = plans.split_last() else {
+        return Ok(Vec::new());
+    };
+    if head.is_empty() {
+        return Ok(vec![last.execute(ctx)?]);
+    }
+    let together = run_together(head, std::slice::from_ref(last));
+    let (mut parts, last) = run_pair(
+        together,
+        ctx,
+        || execute_branches(head, ctx),
+        || last.execute(ctx),
+    )?;
+    parts.push(last);
+    Ok(parts)
+}
+
+/// Runs `left` then `right`. When `together`, the two overlap: their
+/// virtual time ([`SimClock::thread_elapsed_us`]) is the longer
+/// side's, not the sum, and — when the context is threaded — `left`
+/// runs on a scoped thread beside `right`, both joined before either
+/// outcome is read, a panic on either side a typed error.
+fn run_pair<A: Send, B>(
+    together: bool,
+    ctx: &ExecContext<'_>,
+    left: impl FnOnce() -> Result<A> + Send,
+    right: impl FnOnce() -> Result<B>,
+) -> Result<(A, B)> {
+    if !together {
+        return Ok((left()?, right()?));
+    }
+    let started = SimClock::thread_elapsed_us();
+    let (left, left_us, right, right_us) = if ctx.threaded {
+        std::thread::scope(|s| {
+            let handle = s.spawn(|| {
+                let started = SimClock::thread_elapsed_us();
+                let out = left();
+                (out, SimClock::thread_elapsed_us() - started)
+            });
+            let right = std::panic::catch_unwind(std::panic::AssertUnwindSafe(right))
+                .map_err(fetch_thread_panicked)
+                .and_then(|r| r);
+            let right_us = SimClock::thread_elapsed_us() - started;
+            let (left, left_us) = handle.join().map_err(fetch_thread_panicked)?;
+            Ok::<_, GisError>((left, left_us, right, right_us))
+        })?
+    } else {
+        let left = left()?;
+        let left_us = SimClock::thread_elapsed_us() - started;
+        let right = right()?;
+        let right_us = SimClock::thread_elapsed_us() - started - left_us;
+        (Ok(left), left_us, Ok(right), right_us)
+    };
+    SimClock::set_thread_elapsed_us(started + left_us.max(right_us));
+    Ok((left?, right?))
 }
 
 /// ` out=[1, 4, 6]` on a join that builds only those columns of its
@@ -1255,58 +1333,90 @@ mod tests {
         }
     }
 
-    /// A hash join keyed on ordinal 7 of a one-column input: looking
-    /// the key column up indexes out of bounds and panics.
-    fn panicking() -> PhysicalPlan {
+    /// A hash join keyed on ordinal 7 of a two-column scan of
+    /// `source`: looking the key column up indexes out of bounds and
+    /// panics.
+    fn panicking(source: &str) -> PhysicalPlan {
         PhysicalPlan::HashJoin {
-            left: Box::new(one_row()),
+            left: Box::new(scan(source)),
             right: Box::new(one_row()),
             left_keys: vec![7],
             right_keys: vec![0],
             kind: JoinKind::Semi,
             residual: None,
             output: None,
-            schema: one_row().schema().clone(),
+            schema: orders_schema(),
         }
     }
 
-    /// A one-source registry (`sales.orders(k, v)`, 8 rows) and a
-    /// semijoin of `one_row()` against it whose plan the tests corrupt.
-    fn bind_join_fixture() -> (HashMap<String, SourceGroup>, BindJoinExec) {
-        use gis_adapters::{ColumnarAdapter, RemoteSource};
-        use gis_net::{Link, NetworkConditions, SimClock};
-        let export = Schema::new(vec![
+    fn orders_schema() -> SchemaRef {
+        Schema::new(vec![
             Field::required("k", DataType::Int64),
             Field::new("v", DataType::Int64),
         ])
-        .into_ref();
-        let adapter = ColumnarAdapter::new("sales");
-        adapter.add_table(gis_storage::ColumnStore::new("orders", export.clone()));
+        .into_ref()
+    }
+
+    /// A source `name` exporting `orders(k, v)`, 8 rows, on a free link.
+    fn source(name: &str) -> (String, SourceGroup) {
+        use gis_adapters::{ColumnarAdapter, RemoteSource};
+        use gis_net::{Link, NetworkConditions};
+        let adapter = ColumnarAdapter::new(name);
+        adapter.add_table(gis_storage::ColumnStore::new("orders", orders_schema()));
         adapter
             .load(
                 "orders",
                 (0..8).map(|i| vec![Value::Int64(i % 2), Value::Int64(i)]),
             )
             .unwrap();
-        let link = Link::new("sales", NetworkConditions::instant(), SimClock::new());
+        let link = Link::new(name, NetworkConditions::instant(), SimClock::new());
         let group = SourceGroup::new(RemoteSource::new(Arc::new(adapter), link));
-        let inner = FragmentExec {
-            source: "sales".into(),
-            request: SourceRequest::Lookup {
+        (name.to_string(), group)
+    }
+
+    /// A fragment fetching `request` from `source`'s `orders`.
+    fn fragment(source: &str, request: SourceRequest) -> FragmentExec {
+        let export = orders_schema();
+        FragmentExec {
+            source: source.into(),
+            request,
+            export_schema: export.clone(),
+            mapping: TableMapping::identity("orders", source, "orders", &export),
+            fetched_global: vec![0, 1],
+            residual: None,
+            output_positions: vec![0, 1],
+            post_fetch: None,
+            schema: export,
+            rows_est: 0,
+        }
+    }
+
+    /// A whole scan of `source`'s `orders`.
+    fn scan(source: &str) -> PhysicalPlan {
+        PhysicalPlan::Fragment(fragment(
+            source,
+            SourceRequest::Scan {
+                table: "orders".into(),
+                predicates: vec![],
+                projection: vec![],
+                sort: vec![],
+                limit: None,
+            },
+        ))
+    }
+
+    /// A one-source registry (`sales.orders(k, v)`, 8 rows) and a
+    /// semijoin of `one_row()` against it whose plan the tests corrupt.
+    fn bind_join_fixture() -> (HashMap<String, SourceGroup>, BindJoinExec) {
+        let inner = fragment(
+            "sales",
+            SourceRequest::Lookup {
                 table: "orders".into(),
                 key_columns: vec![0],
                 keys: vec![],
                 projection: vec![],
             },
-            export_schema: export.clone(),
-            mapping: TableMapping::identity("orders", "sales", "orders", &export),
-            fetched_global: vec![0, 1],
-            residual: None,
-            output_positions: vec![0, 1],
-            post_fetch: None,
-            schema: export.clone(),
-            rows_est: 0,
-        };
+        );
         let join = BindJoinExec {
             outer: Box::new(one_row()),
             outer_keys: vec![0],
@@ -1322,7 +1432,7 @@ mod tests {
             inner_rows_est: 8,
             inner_row_bytes: 16,
         };
-        (HashMap::from([("sales".to_string(), group)]), join)
+        (HashMap::from([source("sales")]), join)
     }
 
     #[test]
@@ -1366,30 +1476,141 @@ mod tests {
         );
     }
 
+    /// A panic on either of two sides fetching together — on the
+    /// spawned thread or on the one that spawned it — fails the query
+    /// with a typed error once both are joined. (Paced clocks: the
+    /// sides run on threads only when link waits take host time.)
     #[test]
     fn panicking_fetch_thread_is_a_typed_error() {
-        let sources = HashMap::new();
-        let options = ExecOptions {
-            parallel_fetch: true,
-            ..ExecOptions::default()
-        };
-        let ctx = ExecContext::new(&sources, &adhoc(options));
-        let schema = one_row().schema().clone();
-        let join = PhysicalPlan::NestedLoop {
-            left: Box::new(panicking()),
-            right: Box::new(one_row()),
+        let sources = HashMap::from([source("a"), source("b")]);
+        for group in sources.values() {
+            group.link().clock().set_pace_permille(1);
+        }
+        let ctx = ExecContext::new(&sources, &adhoc(ExecOptions::default()));
+        let nested = |left, right| PhysicalPlan::NestedLoop {
+            left: Box::new(left),
+            right: Box::new(right),
             kind: JoinKind::Cross,
             condition: None,
             output: None,
-            schema: schema.clone(),
+            schema: orders_schema(),
         };
-        let union = PhysicalPlan::Union {
-            inputs: vec![one_row(), panicking(), panicking()],
-            schema,
+        let union = |inputs| PhysicalPlan::Union {
+            inputs,
+            schema: orders_schema(),
         };
-        for plan in [join, union] {
+        for plan in [
+            nested(panicking("a"), scan("b")),
+            nested(scan("a"), panicking("b")),
+            union(vec![panicking("a"), panicking("b")]),
+            union(vec![scan("a"), panicking("b"), panicking("a")]),
+        ] {
+            assert_eq!(splits(&plan), 1);
             let err = plan.execute(&ctx).unwrap_err();
             assert_eq!(err, GisError::Internal("fetch thread panicked".into()));
         }
+    }
+
+    /// How many pairs of subplans in `plan` the executor runs together:
+    /// the sides of every join and, for a union, each branch beside
+    /// the ones before it — the places `execute` asks [`run_together`].
+    fn splits(plan: &PhysicalPlan) -> usize {
+        let own = match plan {
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::NestedLoop { left, right, .. } => usize::from(run_together(
+                std::slice::from_ref(left),
+                std::slice::from_ref(right),
+            )),
+            PhysicalPlan::Union { inputs, .. } => (1..inputs.len())
+                .filter(|&i| run_together(&inputs[..i], &inputs[i..=i]))
+                .count(),
+            _ => 0,
+        };
+        own + plan.children().into_iter().map(splits).sum::<usize>()
+    }
+
+    fn hash_join(left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan {
+        PhysicalPlan::HashJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            left_keys: vec![0],
+            right_keys: vec![0],
+            kind: JoinKind::Inner,
+            residual: None,
+            output: Some(vec![0, 1]),
+            schema: orders_schema(),
+        }
+    }
+
+    /// The concurrency rule, checked on plans (none executes, so a
+    /// broken rule cannot start a thread here): a left-deep `UNION
+    /// ALL` of 200 branches over two sources runs at most one pair
+    /// together, a join over three sources two, a self-join and a
+    /// plan with a single fetch none.
+    #[test]
+    fn concurrent_splits_are_bounded_by_the_sources_read() {
+        let mut union = scan("a");
+        for i in 1..200 {
+            union = PhysicalPlan::Union {
+                inputs: vec![union, scan(if i % 2 == 0 { "a" } else { "b" })],
+                schema: orders_schema(),
+            };
+        }
+        assert_eq!(splits(&union), 1);
+        let flat = PhysicalPlan::Union {
+            inputs: (0..200)
+                .map(|i| scan(if i % 2 == 0 { "a" } else { "b" }))
+                .collect(),
+            schema: orders_schema(),
+        };
+        assert_eq!(splits(&flat), 1);
+        let three = hash_join(hash_join(scan("a"), scan("b")), scan("c"));
+        assert_eq!(splits(&three), 2);
+        assert_eq!(splits(&hash_join(scan("a"), scan("a"))), 0);
+        assert_eq!(splits(&hash_join(scan("a"), one_row())), 0);
+        assert_eq!(splits(&hash_join(one_row(), one_row())), 0);
+        // A bind join's inner source counts: its outer cannot run
+        // beside another read of that source.
+        let (_, mut semi) = bind_join_fixture();
+        semi.outer = Box::new(scan("a"));
+        let semi = PhysicalPlan::BindJoin(semi);
+        assert_eq!(splits(&hash_join(semi.clone(), scan("sales"))), 0);
+        assert_eq!(splits(&hash_join(semi, scan("b"))), 1);
+    }
+
+    /// Fetches that run together count once on the query's path: the
+    /// pair's virtual time is the longer side's, while the shared
+    /// clock sums both — on two threads (paced clock) or in order on
+    /// one (unpaced).
+    #[test]
+    fn overlapping_sides_cost_the_longer_one() {
+        for pace_permille in [0, 1] {
+            overlapping_sides_cost_the_longer_one_at(pace_permille);
+        }
+    }
+
+    fn overlapping_sides_cost_the_longer_one_at(pace_permille: u64) {
+        use gis_adapters::{ColumnarAdapter, RemoteSource};
+        use gis_net::{Link, NetworkConditions};
+        let clock = SimClock::new();
+        clock.set_pace_permille(pace_permille);
+        let group = |name: &str, latency_us: u64| {
+            let adapter = ColumnarAdapter::new(name);
+            adapter.add_table(gis_storage::ColumnStore::new("orders", orders_schema()));
+            let conditions = NetworkConditions {
+                latency_us,
+                bandwidth_bytes_per_sec: 0,
+            };
+            let link = Link::new(name, conditions, clock.clone());
+            let remote = RemoteSource::new(Arc::new(adapter), link);
+            (name.to_string(), SourceGroup::new(remote))
+        };
+        let sources = HashMap::from([group("a", 1_000), group("b", 3_000)]);
+        let ctx = ExecContext::new(&sources, &adhoc(ExecOptions::default()));
+        assert_eq!(ctx.threaded, pace_permille > 0);
+        let started = SimClock::thread_elapsed_us();
+        hash_join(scan("a"), scan("b")).execute(&ctx).unwrap();
+        assert_eq!(SimClock::thread_elapsed_us() - started, 6_000);
+        assert_eq!(clock.now_us(), 8_000);
     }
 }

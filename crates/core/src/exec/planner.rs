@@ -486,7 +486,12 @@ impl Planner<'_> {
         let outer_est = estimate(&j.left);
         let inner_est = estimate(&j.right);
         let conditions = remote.best_conditions();
-        let chosen = self.choose_strategy(&outer_est, &inner_est, left_keys.len(), conditions);
+        let outer = Side {
+            est: outer_est,
+            us: self.critical_path_us(&j.left)?,
+            together: disjoint_fetches(&j.left.source_names(), &j.right.source_names()),
+        };
+        let chosen = self.choose_strategy(&outer, &inner_est, left_keys.len(), conditions);
         let (batch_size, label) = match chosen {
             JoinStrategy::ShipWhole => return Ok(None),
             JoinStrategy::SemiJoin => (usize::MAX, "semijoin"),
@@ -515,13 +520,18 @@ impl Planner<'_> {
     }
 
     /// Picks a strategy from estimates and link conditions (resolving
-    /// `Auto` to a concrete choice). Each strategy costs its requests
-    /// plus the response frames the wrappers will ship
-    /// ([`response_frames`]), priced by the link's own formula
-    /// ([`NetworkConditions::messages_cost_us`]).
+    /// `Auto` to a concrete choice) by the critical path each one
+    /// leaves the join: shipping the inner relation whole runs beside
+    /// the outer side when the executor's concurrency rule lets it
+    /// (the longer of the two), after it otherwise (the sum); a
+    /// semijoin or bind join waits for the outer keys, then fetches.
+    /// Each fetch costs its requests plus the response frames the
+    /// wrappers will ship ([`response_frames`]), priced by the link's
+    /// own formula ([`NetworkConditions::messages_cost_us`]). Ties go
+    /// to ship-whole.
     fn choose_strategy(
         &self,
-        outer: &Estimate,
+        outer: &Side,
         inner: &Estimate,
         key_width: usize,
         conditions: NetworkConditions,
@@ -533,22 +543,31 @@ impl Planner<'_> {
         let key_bytes_per_row = 9.0 * key_width as f64;
         // Ship-whole: fetch the entire inner relation.
         let ship_msgs = 1 + response_frames(conditions, inner);
-        let ship_cost = conditions.messages_cost_us(ship_msgs, inner.total_bytes() as u64);
+        let ship_fetch = conditions.messages_cost_us(ship_msgs, inner.total_bytes() as u64);
+        let ship_cost = if outer.together {
+            outer.us.max(ship_fetch)
+        } else {
+            outer.us.saturating_add(ship_fetch)
+        };
         // Key shipping: distinct outer keys out, matching rows back.
-        let keys = outer.rows;
+        let keys = outer.est.rows;
         let matched = Estimate {
-            rows: outer.rows.min(inner.rows),
+            rows: outer.est.rows.min(inner.rows),
             ..*inner
         };
         let fetch_bytes = (keys * key_bytes_per_row + matched.total_bytes()) as u64;
         let matched_frames = response_frames(conditions, &matched);
         // Semijoin: one lookup message (plus response frames).
-        let semi_cost = conditions.messages_cost_us(1 + matched_frames, fetch_bytes);
+        let semi_cost = outer
+            .us
+            .saturating_add(conditions.messages_cost_us(1 + matched_frames, fetch_bytes));
         // Bind-join: one message pair per key batch.
         let bind_batches =
             ((keys / self.options.bind_batch_size.max(1) as f64).ceil() as u64).max(1);
         let bind_msgs = bind_batches + matched_frames.max(bind_batches);
-        let bind_cost = conditions.messages_cost_us(bind_msgs, fetch_bytes);
+        let bind_cost = outer
+            .us
+            .saturating_add(conditions.messages_cost_us(bind_msgs, fetch_bytes));
         let min = ship_cost.min(semi_cost).min(bind_cost);
         if min == ship_cost {
             JoinStrategy::ShipWhole
@@ -557,6 +576,37 @@ impl Planner<'_> {
         } else {
             JoinStrategy::BindJoin
         }
+    }
+
+    /// Predicted virtual µs on `plan`'s critical path, by the rule the
+    /// executor runs it with: a scan costs one request plus its
+    /// response frames over its own source's link; join sides and
+    /// union branches cost the longer of the two when they may run
+    /// together ([`disjoint_fetches`]), the sum otherwise.
+    fn critical_path_us(&self, plan: &LogicalPlan) -> Result<u64> {
+        if let LogicalPlan::TableScan(t) = plan {
+            let conditions = self.remote(&t.resolved.source.name)?.best_conditions();
+            let est = estimate(plan);
+            let msgs = 1 + response_frames(conditions, &est);
+            return Ok(conditions.messages_cost_us(msgs, est.total_bytes() as u64));
+        }
+        // Fold the children left-deep, as the executor runs union
+        // branches: each beside all the ones before it, or after them.
+        let mut us = 0u64;
+        let mut before: Vec<String> = Vec::new();
+        for child in plan.children() {
+            let child_us = self.critical_path_us(child)?;
+            let sources = child.source_names();
+            us = if disjoint_fetches(&before, &sources) {
+                us.max(child_us)
+            } else {
+                us.saturating_add(child_us)
+            };
+            before.extend(sources);
+            before.sort();
+            before.dedup();
+        }
+        Ok(us)
     }
 
     fn try_remote_aggregate(
@@ -753,6 +803,24 @@ impl Planner<'_> {
         }
         Ok(Some(fragment))
     }
+}
+
+/// The outer side of a key-shipping candidate, as `choose_strategy`
+/// prices it.
+struct Side {
+    /// Its rows and bytes.
+    est: Estimate,
+    /// Its predicted critical path, virtual µs.
+    us: u64,
+    /// It may run beside a ship-whole fetch of the inner side.
+    together: bool,
+}
+
+/// Whether the executor runs two subplans reading these (sorted)
+/// sources together: each reads some source and none reads the same
+/// one — its concurrency rule, over the logical plan.
+fn disjoint_fetches(left: &[String], right: &[String]) -> bool {
+    !left.is_empty() && !right.is_empty() && left.iter().all(|s| right.binary_search(s).is_err())
 }
 
 /// For a projection of bare columns over a `width`-column join: the

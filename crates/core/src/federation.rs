@@ -432,6 +432,8 @@ impl Federation {
             wire_bytes += self.analyze_table(s, t)?;
         }
         let mut metrics = snapshot.diff_against(links.iter(), &self.clock);
+        // One table after another: nothing overlaps.
+        metrics.virtual_elapsed_us = metrics.virtual_network_us;
         metrics.rows_returned = 1;
         metrics.wall_us = started.elapsed().as_micros();
         status_result(
@@ -881,9 +883,11 @@ impl Federation {
             .flat_map(|g| g.replicas().iter().map(|r| r.link()))
             .collect();
         let snapshot = TrafficSnapshot::capture(links.iter().copied(), &self.clock);
+        let elapsed_from = SimClock::thread_elapsed_us();
         let exec = ExecContext::new(&sources, ctx);
         let (batch, trace) = physical.execute(&exec)?;
         let mut metrics = snapshot.diff_against(links.iter().copied(), &self.clock);
+        metrics.virtual_elapsed_us = SimClock::thread_elapsed_us() - elapsed_from;
         metrics.rows_returned = batch.num_rows();
         metrics.fragments = physical.fragment_count();
         metrics.query_id = ctx.query_id;

@@ -52,8 +52,16 @@ pub struct QueryMetrics {
     pub failures: u64,
     /// Total retry attempts across all links.
     pub retries: u64,
-    /// Virtual network time elapsed on the shared clock, µs.
+    /// Virtual network time elapsed on the shared clock, µs: every
+    /// link's time summed, whether or not fetches overlapped — the
+    /// query's total network work.
     pub virtual_network_us: u64,
+    /// The query's longest chain of virtual link time, µs: each fetch
+    /// counts the time it paid (retries and backoff included), fetches
+    /// that ran together count the longest of them, and dependent steps
+    /// add up. What the query waited on the network; equals
+    /// `virtual_network_us` when nothing overlapped.
+    pub virtual_elapsed_us: u64,
     /// Rows in the final result.
     pub rows_returned: usize,
     /// Host wall-clock time, µs (CPU + simulated accounting overhead;
@@ -92,16 +100,20 @@ impl QueryMetrics {
         self.virtual_network_us as f64 / 1_000.0
     }
 
-    /// The *parallel* virtual-time lower bound: the busiest single
-    /// link's time. When fragments fetch concurrently
-    /// (`ExecOptions::parallel_fetch`), elapsed network time
-    /// approaches this instead of the sequential sum.
+    /// The busiest single link's time, µs: a lower bound on
+    /// [`QueryMetrics::virtual_elapsed_us`], reached only when every
+    /// other link's fetches overlap the busiest one's.
     pub fn virtual_parallel_us(&self) -> u64 {
         self.per_source
             .values()
             .map(|t| t.busy_us)
             .max()
             .unwrap_or(0)
+    }
+
+    /// [`QueryMetrics::virtual_elapsed_us`] in milliseconds.
+    pub fn virtual_elapsed_ms(&self) -> f64 {
+        self.virtual_elapsed_us as f64 / 1_000.0
     }
 
     /// [`QueryMetrics::virtual_parallel_us`] in milliseconds.
@@ -160,6 +172,10 @@ impl QueryMetrics {
             (
                 "virtual_network_ms".into(),
                 format!("{:.3}", self.virtual_network_ms()),
+            ),
+            (
+                "virtual_elapsed_ms".into(),
+                format!("{:.3}", self.virtual_elapsed_ms()),
             ),
             (
                 "virtual_parallel_ms".into(),

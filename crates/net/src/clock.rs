@@ -14,9 +14,22 @@
 //! making network waits occupy real time that concurrent workers can
 //! overlap. Pacing is off by default and never affects virtual
 //! timekeeping or traffic accounting.
+//!
+//! The shared clock sums every message, so it reads total work even
+//! when a query's fetches overlap. What the query *waits* is a path:
+//! [`SimClock::thread_elapsed_us`] counts the virtual time the calling
+//! thread advanced, and an executor that ran two pieces of work as
+//! overlapping resets it to the longer one's
+//! ([`SimClock::set_thread_elapsed_us`]).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+thread_local! {
+    /// Virtual µs on the calling thread's path (any clock).
+    static THREAD_ELAPSED_US: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A monotonically-advancing virtual clock, in microseconds.
 ///
@@ -61,6 +74,7 @@ impl SimClock {
     /// `delta_us` so virtual waits occupy host time.
     pub fn advance(&self, delta_us: u64) -> u64 {
         let now = self.micros.fetch_add(delta_us, Ordering::Relaxed) + delta_us;
+        THREAD_ELAPSED_US.with(|t| t.set(t.get().saturating_add(delta_us)));
         let pace = self.pace_permille.load(Ordering::Relaxed);
         if pace > 0 && delta_us > 0 {
             let host_us = delta_us.saturating_mul(pace) / 1_000;
@@ -69,6 +83,21 @@ impl SimClock {
             }
         }
         now
+    }
+
+    /// Virtual microseconds on the calling thread's path so far: every
+    /// advance it made on any clock, as adjusted by
+    /// [`SimClock::set_thread_elapsed_us`]. Only the difference between
+    /// two reads on one thread means anything.
+    pub fn thread_elapsed_us() -> u64 {
+        THREAD_ELAPSED_US.with(Cell::get)
+    }
+
+    /// Sets the calling thread's path: after two pieces of work that
+    /// overlap (on two threads, or in order on this one), it is their
+    /// start plus the longer of the two.
+    pub fn set_thread_elapsed_us(us: u64) {
+        THREAD_ELAPSED_US.with(|t| t.set(us));
     }
 
     /// Resets to zero (used between experiment trials).
@@ -126,6 +155,27 @@ mod tests {
         assert_eq!(b.now_us(), 42);
         assert!(a.same_clock(&b));
         assert!(!a.same_clock(&SimClock::new()));
+    }
+
+    #[test]
+    fn each_thread_counts_its_own_path() {
+        let c = SimClock::new();
+        let start = SimClock::thread_elapsed_us();
+        c.advance(30);
+        let other = std::thread::scope(|s| {
+            s.spawn(|| {
+                let t0 = SimClock::thread_elapsed_us();
+                c.advance(70);
+                SimClock::thread_elapsed_us() - t0
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(other, 70);
+        assert_eq!(SimClock::thread_elapsed_us() - start, 30);
+        SimClock::set_thread_elapsed_us(start + 70);
+        assert_eq!(SimClock::thread_elapsed_us() - start, 70);
+        assert_eq!(c.now_us(), 100, "the shared clock sums both threads");
     }
 
     #[test]

@@ -58,10 +58,9 @@ impl EngineConfig {
 }
 
 /// The reference oracle: every optimization off, ship-whole joins,
-/// single-threaded fetch, no caches, no view matching.
+/// no caches, no view matching.
 pub fn oracle() -> (OptimizerOptions, ExecOptions) {
     let exec = ExecOptions {
-        parallel_fetch: false,
         view_matching: false,
         ..ExecOptions::naive()
     };
@@ -104,17 +103,6 @@ pub fn matrix() -> Vec<EngineConfig> {
             exec: ExecOptions {
                 join_strategy: JoinStrategy::BindJoin,
                 bind_batch_size: 7,
-                ..base
-            },
-            mode: Mode::Direct,
-        },
-        // Threaded fetch: join sides and union branches execute on
-        // their own threads.
-        EngineConfig {
-            name: "parallel",
-            optimizer: OptimizerOptions::default(),
-            exec: ExecOptions {
-                parallel_fetch: true,
                 ..base
             },
             mode: Mode::Direct,
@@ -214,6 +202,5 @@ mod tests {
         let (opt, exec) = oracle();
         assert!(!opt.predicate_pushdown);
         assert!(!exec.view_matching);
-        assert!(!exec.parallel_fetch);
     }
 }

@@ -212,39 +212,41 @@ fn optimizer_ablations_are_result_invariant() {
     }
 }
 
+/// The two sides of a cross-source ship-whole join read disjoint
+/// sources, so they fetch together: the oracle's rows, the same
+/// bytes, and a query that waits on the network only as long as its
+/// longer side — while the shared clock still sums both.
 #[test]
-fn parallel_fetch_is_result_invariant() {
-    let fm = build_fedmart(FedMartConfig {
-        sales_partitions: 4,
-        ..FedMartConfig::tiny()
-    })
-    .unwrap();
+fn cross_source_fetches_overlap_and_keep_the_oracles_rows() {
+    let fm = fed();
     let f = &fm.federation;
-    let sql = format!(
-        "SELECT cust_id, count(*) AS n FROM {} \
-         GROUP BY cust_id ORDER BY n DESC, cust_id LIMIT 20",
-        fm.orders_from_clause()
-    );
-    f.set_exec_options(ExecOptions::default());
-    let sequential = f.query(&sql).unwrap();
+    let sql = "SELECT c.name, o.order_id, o.amount FROM customers c \
+               JOIN orders o ON c.id = o.cust_id WHERE o.amount > 1500.0";
     f.set_exec_options(ExecOptions {
-        parallel_fetch: true,
+        join_strategy: JoinStrategy::ShipWhole,
         ..ExecOptions::default()
     });
-    let parallel = f.query(&sql).unwrap();
-    assert_eq!(sequential.batch.to_rows(), parallel.batch.to_rows());
-    assert_eq!(
-        sequential.metrics.bytes_shipped,
-        parallel.metrics.bytes_shipped
-    );
-    // The busiest-link bound is below the sequential total when work
-    // is spread over several sources.
-    assert!(
-        parallel.metrics.virtual_parallel_us() < parallel.metrics.virtual_network_us,
-        "parallel bound {} vs sequential {}",
-        parallel.metrics.virtual_parallel_us(),
-        parallel.metrics.virtual_network_us
-    );
+    let r = f.query(sql).unwrap();
+    assert!(f.explain(sql).unwrap().contains("HashJoin"));
+    let oracle = fed();
+    let (optimizer, exec) = gis_qa::config::oracle();
+    oracle.federation.set_optimizer_options(optimizer);
+    oracle.federation.set_exec_options(exec);
+    let want = oracle.federation.query(sql).unwrap();
+    let sorted = |b: &Batch| {
+        let mut rows = b.to_rows();
+        rows.sort();
+        rows
+    };
+    assert!(want.batch.num_rows() > 0);
+    assert_eq!(sorted(&r.batch), sorted(&want.batch));
+    let m = &r.metrics;
+    assert_eq!(m.per_source.len(), 2, "{m}");
+    let longer = m.per_source.values().map(|t| t.busy_us).max().unwrap();
+    let both: u64 = m.per_source.values().map(|t| t.busy_us).sum();
+    assert_eq!(m.virtual_network_us, both);
+    assert_eq!(m.virtual_elapsed_us, longer, "{m}");
+    assert!(m.virtual_elapsed_us < m.virtual_network_us);
 }
 
 #[test]

@@ -84,16 +84,90 @@ fn tracing_preserves_results_and_meters_its_own_traffic() {
     assert!(traced.metrics.messages > plain.metrics.messages);
 }
 
-/// `tests/fetch_path_pinned.rs`'s three statements, each with the span
-/// tree a traced run renders — every label, row count and nesting
-/// level, with wall times (and the kernel phase timings inside
+/// `tests/fetch_path_pinned.rs`'s first three statements, each with
+/// the span tree a traced run renders — every label, row count and
+/// nesting level, with wall times (and the kernel phase timings inside
 /// `kernel[…]` labels) left out. Three kinds of label moved when the
 /// joins learned to build only what their parent reads: a join under
 /// a column-only `Project` names the columns it keeps (`out=[…]`),
 /// that `Project` addresses them by their new positions, and the
 /// two-string `GROUP BY` runs `kernel[fixed-dict]` (was `hashed`).
-const TRACED_SHAPES: [(&str, &str); 3] = [
+///
+/// Since the planner prices the critical path, all three ship their
+/// inner tables whole at this scale (fetched beside the outer side), so
+/// their trees hold one `Fragment` per table. The first two trees from
+/// before — a 4-key `Lookup` and a 100-key Bloom filter — stay pinned
+/// with the semijoin forced, so the key-shipping spans keep their
+/// literal too.
+const TRACED_SHAPES: [(JoinStrategy, &str, &str); 5] = [
     (
+        JoinStrategy::Auto,
+        "SELECT c.name, o.order_id, o.amount FROM customers c \
+         JOIN orders o ON c.id = o.cust_id WHERE c.balance > 45000.00",
+        r"Project: #0, #1, #2 rows_in=45 rows=45
+  Project: #0, #1, #2 rows_in=45 rows=45
+    HashJoin[INNER JOIN]: left[0] = right[1] out=[1, 2, 4] rows_in=1004 rows=45
+      Fragment[crm] rows_in=4 rows=4
+        recv[crm] rows_in=0 rows=4
+          remote:scan[customers] rows_in=0 rows=4
+          wire[codec=nullsup*2 raw=93 sent=84] rows_in=0 rows=0
+      Fragment[sales] rows_in=1000 rows=1000
+        recv[sales] rows_in=0 rows=1000
+          remote:scan[orders] rows_in=0 rows=1000
+          wire[codec=delta*2,nullsup*1 raw=24420 sent=9550] rows_in=0 rows=0
+      kernel[fixed]: partitions=1 rows_in=0 rows=0
+",
+    ),
+    (
+        JoinStrategy::Auto,
+        "SELECT c.region, count(*) AS n, sum(o.amount) AS rev FROM customers c \
+         JOIN orders o ON c.id = o.cust_id WHERE o.order_day >= DATE '2019-07-20' \
+         GROUP BY c.region",
+        r"Project: #0, #1, #2 rows_in=8 rows=8
+  HashAggregate: group=[#0] aggs=[count(*), sum(#1)] rows_in=933 rows=8
+    Project: #0, #1 rows_in=933 rows=933
+      HashJoin[INNER JOIN]: left[0] = right[0] out=[1, 3] rows_in=1033 rows=933
+        Fragment[crm] rows_in=100 rows=100
+          recv[crm] rows_in=0 rows=100
+            remote:scan[customers] rows_in=0 rows=100
+            wire[codec=dict*1,delta*1 raw=1195 sent=189] rows_in=0 rows=0
+        Fragment[sales] rows_in=933 rows=933
+          recv[sales] rows_in=0 rows=933
+            remote:scan[orders] rows_in=0 rows=933
+            wire[codec=delta*1,nullsup*1 raw=15192 sent=8548] rows_in=0 rows=0
+        kernel[fixed]: partitions=1 rows_in=0 rows=0
+    kernel[fixed]: partitions=1 rows_in=0 rows=0
+",
+    ),
+    (
+        JoinStrategy::Auto,
+        "SELECT c.region, p.category, sum(o.amount) AS rev FROM customers c \
+         JOIN orders o ON c.id = o.cust_id JOIN products p ON o.product_id = p.product_id \
+         WHERE o.order_day >= DATE '2019-06-01' GROUP BY c.region, p.category",
+        r"Project: #0, #1, #2 rows_in=48 rows=48
+  HashAggregate: group=[#0, #2] aggs=[sum(#1)] rows_in=967 rows=48
+    Project: #0, #1, #2 rows_in=967 rows=967
+      HashJoin[INNER JOIN]: left[3] = right[0] out=[1, 4, 6] rows_in=987 rows=967
+        HashJoin[INNER JOIN]: left[0] = right[0] rows_in=1067 rows=967
+          Fragment[crm] rows_in=100 rows=100
+            recv[crm] rows_in=0 rows=100
+              remote:scan[customers] rows_in=0 rows=100
+              wire[codec=dict*1,delta*1 raw=1195 sent=189] rows_in=0 rows=0
+          Fragment[sales] rows_in=967 rows=967
+            recv[sales] rows_in=0 rows=967
+              remote:scan[orders] rows_in=0 rows=967
+              wire[codec=delta*2,nullsup*1 raw=23618 sent=9603] rows_in=0 rows=0
+          kernel[fixed]: partitions=1 rows_in=0 rows=0
+        Fragment[inventory] rows_in=20 rows=20
+          recv[inventory] rows_in=0 rows=20
+            remote:scan[products] rows_in=0 rows=20
+            wire[codec=dict*1,delta*2,nullsup*1 raw=777 sent=425] rows_in=0 rows=0
+        kernel[fixed]: partitions=1 rows_in=0 rows=0
+    kernel[fixed-dict]: partitions=1 rows_in=0 rows=0
+",
+    ),
+    (
+        JoinStrategy::SemiJoin,
         "SELECT c.name, o.order_id, o.amount FROM customers c \
          JOIN orders o ON c.id = o.cust_id WHERE c.balance > 45000.00",
         r"Project: #0, #1, #2 rows_in=45 rows=45
@@ -111,6 +185,7 @@ const TRACED_SHAPES: [(&str, &str); 3] = [
 ",
     ),
     (
+        JoinStrategy::SemiJoin,
         "SELECT c.region, count(*) AS n, sum(o.amount) AS rev FROM customers c \
          JOIN orders o ON c.id = o.cust_id WHERE o.order_day >= DATE '2019-07-20' \
          GROUP BY c.region",
@@ -128,32 +203,6 @@ const TRACED_SHAPES: [(&str, &str); 3] = [
           wire[codec=delta*2,nullsup*1 raw=20421 sent=10553] rows_in=0 rows=0
         kernel[fixed]: partitions=1 rows_in=0 rows=0
     kernel[fixed]: partitions=1 rows_in=0 rows=0
-",
-    ),
-    (
-        "SELECT c.region, p.category, sum(o.amount) AS rev FROM customers c \
-         JOIN orders o ON c.id = o.cust_id JOIN products p ON o.product_id = p.product_id \
-         WHERE o.order_day >= DATE '2019-06-01' GROUP BY c.region, p.category",
-        r"Project: #0, #1, #2 rows_in=48 rows=48
-  HashAggregate: group=[#0, #2] aggs=[sum(#1)] rows_in=967 rows=48
-    Project: #0, #1, #2 rows_in=967 rows=967
-      HashJoin[INNER JOIN]: left[3] = right[0] out=[1, 4, 6] rows_in=987 rows=967
-        BindJoin[semijoin→sales INNER JOIN] rows_in=1100 rows=967
-          Fragment[crm] rows_in=100 rows=100
-            recv[crm] rows_in=0 rows=100
-              remote:scan[customers] rows_in=0 rows=100
-              wire[codec=dict*1,delta*1 raw=1195 sent=189] rows_in=0 rows=0
-          keyship[mode=keys n=100] rows_in=0 rows=0
-          recv[sales] rows_in=0 rows=1000
-            remote:lookup[orders keys=100] rows_in=0 rows=1000
-            wire[codec=rle*1,delta*2,nullsup*1 raw=28563 sent=10615] rows_in=0 rows=0
-          kernel[fixed]: partitions=1 rows_in=0 rows=0
-        Fragment[inventory] rows_in=20 rows=20
-          recv[inventory] rows_in=0 rows=20
-            remote:scan[products] rows_in=0 rows=20
-            wire[codec=dict*1,delta*2,nullsup*1 raw=777 sent=425] rows_in=0 rows=0
-        kernel[fixed]: partitions=1 rows_in=0 rows=0
-    kernel[fixed-dict]: partitions=1 rows_in=0 rows=0
 ",
     ),
 ];
@@ -193,9 +242,10 @@ fn span_frames(span: &Span, frames: &mut Vec<u64>) {
 #[test]
 fn tracing_costs_exactly_the_span_frames_and_keeps_the_tree() {
     let fed = fedmart().federation;
-    for (sql, shape) in TRACED_SHAPES {
-        let plain = fed.query(sql).unwrap();
+    for (join_strategy, sql, shape) in TRACED_SHAPES {
         let mut ctx = fed.ctx();
+        ctx.exec.join_strategy = join_strategy;
+        let plain = fed.run(sql, &ctx).unwrap();
         ctx.exec.tracing = true;
         let traced = fed.run(sql, &ctx).unwrap();
         assert_eq!(plain.batch.to_rows(), traced.batch.to_rows(), "{sql}");
